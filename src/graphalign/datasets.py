@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,52 +155,19 @@ def _read_edge_list(path: Path, index: dict[str, int]) -> set[tuple[int, int]]:
     return edges
 
 
-def _load_cora_content(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, int]:
-    """Parse `<id> <binary features...> <class-name>` rows.
+def _read_feature_rows(
+    path: Path, decode_label: Callable[[str], object], kind: str
+) -> tuple[list[str], np.ndarray, list]:
+    """Parse `<id> <v1> ... <vC> <label>` rows.
 
-    Class names map to label indices in lexicographic order so the indexing
-    is reproducible across runs and machines.
+    The two formats differ only in the label column, which
+    `decode_label` turns into a label (a ValueError from it means the
+    column is not an integer). `kind` names the file in the empty-file
+    error.
     """
     ids: list[str] = []
     rows: list[list[float]] = []
-    class_names: list[str] = []
-    width = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) < 3:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: need id, features and a label column"
-                )
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: ragged row ({len(tokens)} columns, expected {width})"
-                )
-            ids.append(tokens[0])
-            try:
-                rows.append([float(t) for t in tokens[1:-1]])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: non-numeric feature value"
-                ) from None
-            class_names.append(tokens[-1])
-    if not ids:
-        raise DatasetFormatError(f"{path}: empty content file")
-    classes = sorted(set(class_names))
-    class_index = {c: i for i, c in enumerate(classes)}
-    labels = np.array([class_index[c] for c in class_names], dtype=np.int64)
-    return ids, np.asarray(rows, dtype=np.float64), labels, len(classes)
-
-
-def _load_generic_features(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, int]:
-    """Parse `<id> <v1> ... <vC> <integer label>` rows."""
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    labels: list[int] = []
+    labels: list = []
     width = None
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -224,17 +192,14 @@ def _load_generic_features(path: Path) -> tuple[list[str], np.ndarray, np.ndarra
                     f"{path}:{lineno}: non-numeric feature value"
                 ) from None
             try:
-                labels.append(int(tokens[-1]))
+                labels.append(decode_label(tokens[-1]))
             except ValueError:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: label column must be an integer"
                 ) from None
     if not ids:
-        raise DatasetFormatError(f"{path}: empty features file")
-    lab = np.array(labels, dtype=np.int64)
-    if lab.min() < 0:
-        raise DatasetFormatError(f"{path}: negative label")
-    return ids, np.asarray(rows, dtype=np.float64), lab, int(lab.max()) + 1
+        raise DatasetFormatError(f"{path}: empty {kind} file")
+    return ids, np.asarray(rows, dtype=np.float64), labels
 
 
 def load_dataset(edges_path: str | Path, features_path: str | Path,
@@ -251,9 +216,18 @@ def load_dataset(edges_path: str | Path, features_path: str | Path,
     """
     edges_path, features_path = Path(edges_path), Path(features_path)
     if format == "cora":
-        ids, features, labels, num_classes = _load_cora_content(features_path)
+        ids, features, class_names = _read_feature_rows(features_path, str, "content")
+        # Class names map to label indices in lexicographic order so the
+        # indexing is reproducible across runs and machines.
+        class_index = {c: i for i, c in enumerate(sorted(set(class_names)))}
+        labels = np.array([class_index[c] for c in class_names], dtype=np.int64)
+        num_classes = len(class_index)
     elif format == "generic":
-        ids, features, labels, num_classes = _load_generic_features(features_path)
+        ids, features, int_labels = _read_feature_rows(features_path, int, "features")
+        labels = np.array(int_labels, dtype=np.int64)
+        if labels.min() < 0:
+            raise DatasetFormatError(f"{features_path}: negative label")
+        num_classes = int(labels.max()) + 1
     else:
         raise ValueError(f"unknown dataset format: {format!r}")
     if len(set(ids)) != len(ids):

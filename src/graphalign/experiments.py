@@ -31,7 +31,6 @@ from .subspaces import (
     normalized_adjacency,
     principal_angles,
     sam,
-    subspace_distance,
 )
 
 __all__ = [
@@ -154,11 +153,8 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
 
     out: dict[str, list[SweepRow]] = {}
     for metric in metrics:
-        d_xa = subspace_distance(th_xa, metric)
-        d_xy = subspace_distance(th_xy, metric)
-        d_ay = subspace_distance(th_ay, metric)
-        values = np.array([[0.0, d_xa, d_xy], [d_xa, 0.0, d_ay], [d_xy, d_ay, 0.0]])
-        sam_value = sam(DistanceMatrix3(values))
+        distances = DistanceMatrix3.from_angles(th_xa, th_xy, th_ay, metric)
+        sam_value = sam(distances)
         out[metric] = [
             SweepRow(
                 dataset=spec.name,
@@ -168,9 +164,9 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
                 variant=variant,
                 accuracy=accuracies[variant][0],
                 sam=sam_value,
-                d_xa=d_xa,
-                d_xy=d_xy,
-                d_ay=d_ay,
+                d_xa=distances.d_xa,
+                d_xy=distances.d_xy,
+                d_ay=distances.d_ay,
                 kx=dims.k_star_x,
                 ka=dims.k_star_a,
                 ky=dims.k_star_y,

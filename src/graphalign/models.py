@@ -1,25 +1,30 @@
 """Two-layer graph convolutional classifier, trained from scratch.
 
 The model is Z = softmax(P relu(P X W0) W1) where P is the self-loop
-augmented, symmetrically normalized adjacency. P is swapped out per
+augmented, symmetrically normalized adjacency, built as a sparse matrix
+by :func:`graphalign.subspaces.normalized_adjacency` (the same operator
+whose eigenvectors span the graph subspace). P is swapped out per
 variant: the identity for the no-graph case (a plain MLP), the implicit
 rank-1 averaging operator for the complete graph (never materialized),
-and the identity feature matrix for the no-features case. Training is
-full-batch adaptive-moment gradient descent with dropout on both layer
-inputs, L2 on the first-layer weights, and early stopping on the
-validation loss. A simplified variant propagates the features K times up
-front and fits a single linear softmax layer.
+and the identity feature matrix for the no-features case. A simplified
+variant propagates the features K times up front and is a single linear
+softmax layer. Every variant is fit by one loop: full-batch
+adaptive-moment gradient descent, L2 on the first-layer weights, and
+early stopping on the validation loss; the two-layer model also applies
+dropout to both layer inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .datasets import Dataset, one_hot, row_normalize_features
+from .subspaces import normalized_adjacency
 
 __all__ = [
     "VARIANTS",
@@ -89,7 +94,6 @@ class SplitSpec:
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
-    fractions: tuple[float, float, float] = (5.0, 10.0, 85.0)
 
     def validate(self) -> None:
         total = (
@@ -132,18 +136,11 @@ class MeanFieldPropagation:
         return np.broadcast_to(col_means, m.shape).copy()
 
 
-def _sparse_normalized_adjacency(adjacency: sp.spmatrix) -> sp.csr_matrix:
-    a_tilde = adjacency.tocsr() + sp.identity(adjacency.shape[0], format="csr")
-    inv_sqrt_deg = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
-    d = sp.diags(inv_sqrt_deg)
-    return (d @ a_tilde @ d).tocsr()
-
-
 def propagation_operator(dataset: Dataset, variant: str):
     """Graph operator used by a model variant (sparse, identity or implicit)."""
     n = dataset.n_nodes
     if variant in ("gcn", "no_features", "sgc"):
-        return _sparse_normalized_adjacency(dataset.adjacency)
+        return normalized_adjacency(dataset.adjacency)
     if variant == "no_graph":
         return sp.identity(n, format="csr")
     if variant == "complete_graph":
@@ -185,6 +182,29 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _forward_pass(w0: np.ndarray, w1: np.ndarray, a_hat, x, dropout: float,
+                  rng: np.random.Generator | None):
+    """The two-layer forward pass, with inverted dropout on both layer
+    inputs when an `rng` is given and `dropout` > 0.
+
+    Returns the class probabilities and what :func:`_backward` needs: the
+    (possibly dropped-out) input features, the first-layer pre-activation,
+    the hidden layer input and the hidden dropout scale (None without
+    dropout).
+    """
+    use_dropout = rng is not None and dropout > 0
+    x_in = _dropout(x, dropout, rng) if use_dropout else x
+    s1 = a_hat @ (x_in @ w0)
+    h_in = np.maximum(s1, 0.0)
+    h_scale = None
+    if use_dropout:
+        keep = 1.0 - dropout
+        h_scale = (rng.random(h_in.shape) < keep) / keep
+        h_in = h_in * h_scale
+    z = _softmax_rows(a_hat @ (h_in @ w1))
+    return z, (x_in, s1, h_in, h_scale)
+
+
 def forward(
     model: GcnModel,
     a_hat,
@@ -201,11 +221,8 @@ def forward(
     """
     if dropout_on and rng is None:
         raise ValueError("dropout_on requires an rng")
-    x_in = _dropout(x, dropout, rng) if dropout_on and dropout > 0 else x
-    s1 = a_hat @ (x_in @ model.w0)
-    h1 = np.maximum(s1, 0.0)
-    h_in = _dropout(h1, dropout, rng) if dropout_on and dropout > 0 else h1
-    return _softmax_rows(a_hat @ (h_in @ model.w1))
+    z, _ = _forward_pass(model.w0, model.w1, a_hat, x, dropout, rng if dropout_on else None)
+    return z
 
 
 def loss(
@@ -232,28 +249,25 @@ def _backward(
     w0: np.ndarray,
     w1: np.ndarray,
     a_hat,
-    x_in,
-    h_in: np.ndarray,
-    s1: np.ndarray,
+    cache: tuple,
     z: np.ndarray,
     y: np.ndarray,
     train_mask: np.ndarray,
     l2_weight: float,
     ce_scale: float,
-    h_mask_scale: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of (ce_scale * summed cross-entropy + L2) w.r.t. (W0, W1).
 
-    `x_in` and `h_in` are the (possibly dropped-out) layer inputs actually
-    used in the forward pass; `h_mask_scale` is the dropout scaling applied
-    to the hidden activations, needed to route the gradient through it.
+    `cache` is what :func:`_forward_pass` returned next to `z`; the hidden
+    dropout scale in it routes the gradient through the dropout mask.
     """
+    x_in, s1, h_in, h_scale = cache
     g2 = np.zeros_like(z)
     g2[train_mask] = (z[train_mask] - y[train_mask]) * ce_scale
     gw1 = (a_hat @ h_in).T @ g2
     gh_in = (a_hat @ g2) @ w1.T
-    if h_mask_scale is not None:
-        gh_in = gh_in * h_mask_scale
+    if h_scale is not None:
+        gh_in = gh_in * h_scale
     gs1 = gh_in * (s1 > 0)
     gw0 = x_in.T @ (a_hat @ gs1) + l2_weight * w0
     return np.asarray(gw0), gw1
@@ -268,13 +282,8 @@ def gradients(
     l2_weight: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of :func:`loss` at the given weights, dropout off."""
-    s1 = a_hat @ (x @ model.w0)
-    h1 = np.maximum(s1, 0.0)
-    z = _softmax_rows(a_hat @ (h1 @ model.w1))
-    return _backward(
-        model.w0, model.w1, a_hat, x, h1, s1, z, y, train_mask,
-        l2_weight, ce_scale=1.0, h_mask_scale=None,
-    )
+    z, cache = _forward_pass(model.w0, model.w1, a_hat, x, 0.0, None)
+    return _backward(model.w0, model.w1, a_hat, cache, z, y, train_mask, l2_weight, ce_scale=1.0)
 
 
 class _Adam:
@@ -355,7 +364,7 @@ def build_split(
     val_mask = np.zeros(n, dtype=bool)
     val_mask[val_idx] = True
     test_mask = ~(train_mask | val_mask)
-    split = SplitSpec(train_mask, val_mask, test_mask, tuple(fractions))
+    split = SplitSpec(train_mask, val_mask, test_mask)
     split.validate()
     return split
 
@@ -371,6 +380,64 @@ def _check_finite(value: float, epoch: int) -> float:
     if not np.isfinite(value):
         raise TrainingDiverged(epoch)
     return value
+
+
+def _fit(
+    variant: str,
+    widths: tuple[int, ...],
+    forward_fn: Callable,
+    backward_fn: Callable,
+    dataset: Dataset,
+    config: GcnConfig,
+    split: SplitSpec,
+) -> TrainReport:
+    """The early-stopping training loop shared by every variant.
+
+    Weights are drawn Glorot-uniform layer by layer for the given layer
+    `widths`, then each epoch runs `forward_fn(weights, rng)` in training
+    mode, checks the mean training loss is finite, takes one Adam step
+    along `backward_fn(weights, cache, z, y, n_train)`, and evaluates the
+    validation loss with `forward_fn(weights, None)` (evaluation mode).
+    Training stops once the validation loss has not improved for
+    `patience` consecutive epochs; the final-epoch weights are evaluated
+    on the test nodes.
+    """
+    y = one_hot(dataset.labels, dataset.num_classes)
+    n_train = int(split.train_mask.sum())
+    n_val = int(split.val_mask.sum())
+
+    rng = np.random.default_rng(config.seed)
+    weights = [_glorot(rng, fan_in, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
+    optimizer = _Adam([w.shape for w in weights], lr=config.learning_rate)
+
+    report = TrainReport(variant=variant, seed=config.seed, epochs_run=0)
+    best_val = np.inf
+    stale = 0
+    for epoch in range(1, config.max_epochs + 1):
+        z, cache = forward_fn(weights, rng)
+        train_loss = loss(z, y, split.train_mask, weights[0], config.l2_weight) / n_train
+        report.train_losses.append(_check_finite(train_loss, epoch))
+        optimizer.step(weights, backward_fn(weights, cache, z, y, n_train))
+        report.epochs_run = epoch
+
+        if n_val:
+            z_eval, _ = forward_fn(weights, None)
+            val_loss = loss(z_eval, y, split.val_mask, weights[0], config.l2_weight) / n_val
+            report.val_losses.append(_check_finite(val_loss, epoch))
+            if val_loss < best_val:
+                best_val = val_loss
+                stale = 0
+            else:
+                stale += 1
+            if stale >= config.patience:
+                break
+        else:
+            report.val_losses.append(float("nan"))
+
+    z_final, _ = forward_fn(weights, None)
+    report.test_accuracy = _accuracy(z_final, dataset.labels, split.test_mask)
+    report.model = GcnModel(*weights)
+    return report
 
 
 def train(
@@ -397,61 +464,16 @@ def train(
         split = build_split(dataset.labels, seed=0)
     a_hat = propagation_operator(dataset, variant)
     x = _model_features(dataset, variant)
-    y = one_hot(dataset.labels, dataset.num_classes)
-    n_train = int(split.train_mask.sum())
 
-    rng = np.random.default_rng(config.seed)
-    w0 = _glorot(rng, x.shape[1], config.hidden_units)
-    w1 = _glorot(rng, config.hidden_units, dataset.num_classes)
-    optimizer = _Adam([w0.shape, w1.shape], lr=config.learning_rate)
+    def forward_fn(weights, rng):
+        return _forward_pass(*weights, a_hat, x, config.dropout, rng)
 
-    report = TrainReport(variant=variant, seed=config.seed, epochs_run=0)
-    best_val = np.inf
-    stale = 0
-    for epoch in range(1, config.max_epochs + 1):
-        use_dropout = config.dropout > 0
-        x_in = _dropout(x, config.dropout, rng) if use_dropout else x
-        s1 = a_hat @ (x_in @ w0)
-        h1 = np.maximum(s1, 0.0)
-        if use_dropout:
-            keep = 1.0 - config.dropout
-            h_scale = (rng.random(h1.shape) < keep) / keep
-            h_in = h1 * h_scale
-        else:
-            h_scale = None
-            h_in = h1
-        z = _softmax_rows(a_hat @ (h_in @ w1))
+    def backward_fn(weights, cache, z, y, n_train):
+        return _backward(*weights, a_hat, cache, z, y, split.train_mask,
+                         config.l2_weight, ce_scale=1.0 / n_train)
 
-        train_loss = loss(z, y, split.train_mask, w0, config.l2_weight) / n_train
-        report.train_losses.append(_check_finite(train_loss, epoch))
-        gw0, gw1 = _backward(
-            w0, w1, a_hat, x_in, h_in, s1, z, y, split.train_mask,
-            config.l2_weight, ce_scale=1.0 / n_train, h_mask_scale=h_scale,
-        )
-        optimizer.step([w0, w1], [gw0, gw1])
-        report.epochs_run = epoch
-
-        model = GcnModel(w0, w1)
-        if split.val_mask.any():
-            z_eval = forward(model, a_hat, x, dropout_on=False)
-            n_val = int(split.val_mask.sum())
-            val_loss = loss(z_eval, y, split.val_mask, w0, config.l2_weight) / n_val
-            report.val_losses.append(_check_finite(val_loss, epoch))
-            if val_loss < best_val:
-                best_val = val_loss
-                stale = 0
-            else:
-                stale += 1
-            if stale >= config.patience:
-                break
-        else:
-            report.val_losses.append(float("nan"))
-
-    model = GcnModel(w0, w1)
-    z_final = forward(model, a_hat, x, dropout_on=False)
-    report.test_accuracy = _accuracy(z_final, dataset.labels, split.test_mask)
-    report.model = model
-    return report
+    widths = (x.shape[1], config.hidden_units, dataset.num_classes)
+    return _fit(variant, widths, forward_fn, backward_fn, dataset, config, split)
 
 
 def train_sgc(
@@ -477,42 +499,14 @@ def train_sgc(
     for _ in range(degree):
         s = a_hat @ s
     s = np.asarray(s)
-    y = one_hot(dataset.labels, dataset.num_classes)
-    n_train = int(split.train_mask.sum())
 
-    rng = np.random.default_rng(config.seed)
-    w = _glorot(rng, s.shape[1], dataset.num_classes)
-    optimizer = _Adam([w.shape], lr=config.learning_rate)
+    def forward_fn(weights, rng):
+        return _softmax_rows(s @ weights[0]), None
 
-    report = TrainReport(variant="sgc", seed=config.seed, epochs_run=0)
-    best_val = np.inf
-    stale = 0
-    for epoch in range(1, config.max_epochs + 1):
-        z = _softmax_rows(s @ w)
-        train_loss = loss(z, y, split.train_mask, w, config.l2_weight) / n_train
-        report.train_losses.append(_check_finite(train_loss, epoch))
+    def backward_fn(weights, cache, z, y, n_train):
         g = np.zeros_like(z)
         g[split.train_mask] = (z[split.train_mask] - y[split.train_mask]) / n_train
-        gw = s.T @ g + config.l2_weight * w
-        optimizer.step([w], [gw])
-        report.epochs_run = epoch
+        return [s.T @ g + config.l2_weight * weights[0]]
 
-        if split.val_mask.any():
-            z_eval = _softmax_rows(s @ w)
-            n_val = int(split.val_mask.sum())
-            val_loss = loss(z_eval, y, split.val_mask, w, config.l2_weight) / n_val
-            report.val_losses.append(_check_finite(val_loss, epoch))
-            if val_loss < best_val:
-                best_val = val_loss
-                stale = 0
-            else:
-                stale += 1
-            if stale >= config.patience:
-                break
-        else:
-            report.val_losses.append(float("nan"))
-
-    z_final = _softmax_rows(s @ w)
-    report.test_accuracy = _accuracy(z_final, dataset.labels, split.test_mask)
-    report.model = GcnModel(w0=w, w1=None)
-    return report
+    widths = (s.shape[1], dataset.num_classes)
+    return _fit("sgc", widths, forward_fn, backward_fn, dataset, config, split)

@@ -9,31 +9,14 @@ vectors, and hence the feature spectrum, is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "RandomizationSpec",
     "randomize_graph",
     "randomize_features",
     "derive_seed",
-    "derived_rng",
 ]
-
-
-@dataclass(frozen=True)
-class RandomizationSpec:
-    """Percentages (0..100) of graph and feature randomization plus a seed."""
-
-    p_graph: float = 0.0
-    p_features: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.p_graph <= 100 and 0 <= self.p_features <= 100):
-            raise ValueError("randomization percentages must lie in [0, 100]")
 
 
 def derive_seed(base_seed: int, *parts: int) -> int:
@@ -44,11 +27,6 @@ def derive_seed(base_seed: int, *parts: int) -> int:
     """
     ss = np.random.SeedSequence((base_seed, *parts))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def derived_rng(base_seed: int, *parts: int) -> np.random.Generator:
-    """Generator seeded by the splitting rule of :func:`derive_seed`."""
-    return np.random.default_rng(np.random.SeedSequence((base_seed, *parts)))
 
 
 def _edge_array(adjacency: sp.spmatrix) -> np.ndarray:

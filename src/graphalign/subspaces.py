@@ -22,7 +22,6 @@ from .randomize import derive_seed, randomize_features, randomize_graph
 
 __all__ = [
     "METRICS",
-    "NormalizedAdjacency",
     "OrthonormalBasis",
     "PrincipalAngles",
     "DistanceMatrix3",
@@ -43,10 +42,6 @@ __all__ = [
 ]
 
 METRICS = ("chordal", "grassmann", "projection")
-
-# Alias kept for signature clarity: the normalized operator is a plain
-# dense symmetric ndarray with spectrum in [-1, 1].
-NormalizedAdjacency = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,14 @@ class DistanceMatrix3:
     def d_ay(self) -> float:
         return float(self.values[1, 2])
 
+    @classmethod
+    def from_angles(cls, th_xa, th_xy, th_ay, metric: str = "chordal") -> DistanceMatrix3:
+        """Arrange the distances of three pairwise angle sets symmetrically."""
+        d_xa = subspace_distance(th_xa, metric)
+        d_xy = subspace_distance(th_xy, metric)
+        d_ay = subspace_distance(th_ay, metric)
+        return cls(np.array([[0.0, d_xa, d_xy], [d_xa, 0.0, d_ay], [d_xy, d_ay, 0.0]]))
+
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -122,21 +125,21 @@ class AlignmentResult:
         }
 
 
-def normalized_adjacency(adjacency: sp.spmatrix | np.ndarray) -> np.ndarray:
+def normalized_adjacency(adjacency: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
     """Self-loop augmented, symmetrically degree-normalized graph operator.
 
-    Returns the dense matrix D^{-1/2} (A + I) D^{-1/2} where D holds the
+    Returns D^{-1/2} (A + I) D^{-1/2} as a CSR matrix, where D holds the
     degrees after the self-loops are added, so every diagonal entry of D
-    is at least one and the inverse square root always exists.
+    is at least one and the inverse square root always exists. This is
+    the one builder of the operator: the subspace analysis and the
+    classifiers both use it, and only :func:`graph_spectrum` densifies it.
     """
-    if sp.issparse(adjacency):
-        a = adjacency.toarray()
-    else:
-        a = np.asarray(adjacency, dtype=np.float64)
-    n = a.shape[0]
-    a_tilde = a + np.eye(n)
-    inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+    a_tilde = sp.csr_matrix(adjacency, dtype=np.float64) + sp.identity(
+        adjacency.shape[0], format="csr"
+    )
+    inv_sqrt_deg = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
+    d = sp.diags(inv_sqrt_deg)
+    return (d @ a_tilde @ d).tocsr()
 
 
 def _fix_signs(matrix: np.ndarray) -> np.ndarray:
@@ -148,20 +151,25 @@ def _fix_signs(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def graph_spectrum(a_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of the normalized adjacency.
 
-    Eigenvalues come back sorted by decreasing algebraic value; ties keep
-    the eigensolver's original order (stable sort), and each eigenvector's
-    largest-magnitude entry is made positive, so the output is
-    deterministic even for degenerate spectra.
+    A sparse operator (as :func:`normalized_adjacency` returns) is turned
+    into a dense array right before the dense eigensolver; this is the
+    only place an N x N dense operator is built. Eigenvalues come back
+    sorted by decreasing algebraic value; ties keep the eigensolver's
+    original order (stable sort), and each eigenvector's largest-magnitude
+    entry is made positive, so the output is deterministic even for
+    degenerate spectra.
     """
+    if sp.issparse(a_hat):
+        a_hat = a_hat.toarray()
     w, v = scipy.linalg.eigh(a_hat)
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_signs(v[:, order])
 
 
-def graph_basis(a_hat: np.ndarray, k: int) -> OrthonormalBasis:
+def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
     """Eigenvectors of the k algebraically largest eigenvalues of A_hat."""
     n = a_hat.shape[0]
     if not 1 <= k < n:
@@ -236,17 +244,12 @@ def distance_matrix(
     metric: str = "chordal",
 ) -> DistanceMatrix3:
     """All pairwise subspace distances, arranged symmetrically."""
-    d_xa = subspace_distance(principal_angles(basis_x, basis_a), metric)
-    d_xy = subspace_distance(principal_angles(basis_x, basis_y), metric)
-    d_ay = subspace_distance(principal_angles(basis_a, basis_y), metric)
-    values = np.array(
-        [
-            [0.0, d_xa, d_xy],
-            [d_xa, 0.0, d_ay],
-            [d_xy, d_ay, 0.0],
-        ]
+    return DistanceMatrix3.from_angles(
+        principal_angles(basis_x, basis_a),
+        principal_angles(basis_x, basis_y),
+        principal_angles(basis_a, basis_y),
+        metric,
     )
-    return DistanceMatrix3(values)
 
 
 def sam(distances: DistanceMatrix3) -> float:

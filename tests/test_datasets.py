@@ -53,12 +53,21 @@ def test_load_errors(tmp_path):
     edges = tmp_path / "e.txt"
     edges.write_text("")
 
-    feats.write_text("a 1.0 2.0 0\nb 1.0 1\n")  # ragged
-    with pytest.raises(DatasetFormatError, match="ragged"):
+    for fmt in ("generic", "cora"):
+        feats.write_text("a 1.0 2.0 0\nb 1.0 1\n")  # ragged
+        with pytest.raises(DatasetFormatError, match="ragged"):
+            load_dataset(edges, feats, format=fmt)
+
+        feats.write_text("a 1.0 oops 0\n")
+        with pytest.raises(DatasetFormatError, match="non-numeric"):
+            load_dataset(edges, feats, format=fmt)
+
+    feats.write_text("a 1.0 0\nb 2.0 Theory\n")
+    with pytest.raises(DatasetFormatError, match=r"f\.txt:2: label column must be an integer"):
         load_dataset(edges, feats, format="generic")
 
-    feats.write_text("a 1.0 oops 0\n")
-    with pytest.raises(DatasetFormatError, match="non-numeric"):
+    feats.write_text("a 1.0 0\nb 2.0 -1\n")
+    with pytest.raises(DatasetFormatError, match="negative label"):
         load_dataset(edges, feats, format="generic")
 
     feats.write_text("a 0\n")  # no feature columns

@@ -127,7 +127,7 @@ def _fd_instance(seed):
         w1 = 0.7 * rng.standard_normal((h, f))
         a = (rng.random((n, n)) < 0.4).astype(float)
         a = np.triu(a, 1)
-        a_hat = normalized_adjacency(a + a.T)
+        a_hat = normalized_adjacency(a + a.T).toarray()
         if np.abs(a_hat @ (x @ w0)).min() > 1e-3:
             break
     y = one_hot(rng.integers(0, f, n), f)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphalign import derive_seed, randomize_features, randomize_graph
-from graphalign.randomize import RandomizationSpec, derived_rng, rewire_stubs
+from graphalign.randomize import rewire_stubs
 
 from conftest import make_dataset
 
@@ -17,21 +17,6 @@ def test_derive_seed_deterministic_and_distinct():
     seen = {derive_seed(0, i, j) for i in range(20) for j in range(3)}
     assert len(seen) == 60
     assert all(0 <= s < 2**64 for s in seen)
-
-
-def test_derived_rng_matches_seed_rule():
-    a = derived_rng(7, 3).random(5)
-    b = derived_rng(7, 3).random(5)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, derived_rng(7, 4).random(5))
-
-
-def test_randomization_spec_bounds():
-    RandomizationSpec(p_graph=100, p_features=0)
-    with pytest.raises(ValueError):
-        RandomizationSpec(p_graph=101)
-    with pytest.raises(ValueError):
-        RandomizationSpec(p_features=-1)
 
 
 def test_p_zero_is_identity():

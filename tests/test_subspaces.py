@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from graphalign import (
     OrthonormalBasis,
@@ -35,11 +36,11 @@ def random_basis(rng, n, k):
 
 
 def test_normalized_adjacency_closed_forms():
-    assert np.array_equal(normalized_adjacency(np.zeros((2, 2))), np.eye(2))
+    assert np.array_equal(normalized_adjacency(np.zeros((2, 2))).toarray(), np.eye(2))
     one_edge = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(normalized_adjacency(one_edge), np.full((2, 2), 0.5), atol=1e-12)
+    assert np.allclose(normalized_adjacency(one_edge).toarray(), np.full((2, 2), 0.5), atol=1e-12)
     complete3 = np.ones((3, 3)) - np.eye(3)
-    assert np.allclose(normalized_adjacency(complete3), np.full((3, 3), 1 / 3), atol=1e-12)
+    assert np.allclose(normalized_adjacency(complete3).toarray(), np.full((3, 3), 1 / 3), atol=1e-12)
 
 
 def test_normalized_adjacency_spectrum_bounded():
@@ -48,8 +49,35 @@ def test_normalized_adjacency_spectrum_bounded():
         a = (rng.random((12, 12)) < 0.3).astype(float)
         a = np.triu(a, 1)
         a = a + a.T
-        w = np.linalg.eigvalsh(normalized_adjacency(a))
+        w = np.linalg.eigvalsh(normalized_adjacency(a).toarray())
         assert w.min() >= -1 - 1e-10 and w.max() <= 1 + 1e-10
+
+
+def _dense_reference_builder(adjacency):
+    """The dense formula the sparse builder replaced, kept as a reference."""
+    a = adjacency.toarray() if sp.issparse(adjacency) else np.asarray(adjacency, dtype=np.float64)
+    a_tilde = a + np.eye(a.shape[0])
+    inv_sqrt_deg = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    return a_tilde * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+
+
+def test_normalized_adjacency_matches_dense_reference_bitwise(constructive):
+    rewired = randomize_graph(constructive.adjacency, 50, 3)
+    empty = sp.csr_matrix((7, 7))
+    for adjacency in (constructive.adjacency, rewired, empty):
+        a_hat = normalized_adjacency(adjacency)
+        assert a_hat.format == "csr"
+        assert np.array_equal(a_hat.toarray(), _dense_reference_builder(adjacency))
+
+
+def test_graph_spectrum_sparse_equals_dense_input(small_constructive):
+    rewired = randomize_graph(small_constructive.adjacency, 100, 5)
+    for adjacency in (small_constructive.adjacency, rewired):
+        a_hat = normalized_adjacency(adjacency)
+        w_sparse, v_sparse = graph_spectrum(a_hat)
+        w_dense, v_dense = graph_spectrum(a_hat.toarray())
+        assert np.array_equal(w_sparse, w_dense)
+        assert np.array_equal(v_sparse, v_dense)
 
 
 def test_graph_basis_degenerate_tiebreak():
@@ -78,7 +106,7 @@ def test_eigen_residuals():
     a = np.triu(a, 1)
     a_hat = normalized_adjacency(a + a.T)
     w, v = graph_spectrum(a_hat)
-    norm = np.linalg.norm(a_hat)
+    norm = np.linalg.norm(a_hat.toarray())
     for i in range(len(w)):
         assert np.linalg.norm(a_hat @ v[:, i] - w[i] * v[:, i]) <= 1e-8 * norm
 
