@@ -29,13 +29,13 @@ from .datasets import (
 from .experiments import (
     AXES,
     SweepSpec,
+    _randomized_dataset,
     correlate,
     read_rows,
     run_sweep,
     write_rows,
 )
 from .models import VARIANTS, GcnConfig, build_split, train
-from .randomize import derive_seed, randomize_features, randomize_graph
 from .subspaces import METRICS, alignment_at, optimize_dimensions
 
 __all__ = ["main", "cli"]
@@ -181,12 +181,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 def _cmd_randomize(args: argparse.Namespace) -> int:
     name, ds = _resolve_dataset(args)
-    adjacency, features = ds.adjacency, ds.features
-    if args.axis in ("graph", "both"):
-        adjacency = randomize_graph(adjacency, args.percent, derive_seed(args.rand_seed, 0))
-    if args.axis in ("features", "both"):
-        features = randomize_features(features, args.percent, derive_seed(args.rand_seed, 1))
-    degraded = Dataset(ds.node_ids, features, adjacency, ds.labels, ds.num_classes)
+    degraded = _randomized_dataset(ds, args.axis, args.percent, args.rand_seed, args.realization)
     save_dataset(degraded, args.out_edges, args.out_features)
     _emit(
         {"dataset": name, "axis": args.axis, "percent": args.percent,
@@ -292,8 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("randomize", help="emit a randomized copy of a dataset")
     _add_dataset_args(p)
     p.add_argument("--axis", choices=AXES, default="both")
-    p.add_argument("--percent", type=float, required=True)
-    p.add_argument("--rand-seed", type=int, default=0)
+    p.add_argument("--percent", type=int, required=True, help="integer percent, as on a sweep grid")
+    p.add_argument("--rand-seed", type=int, default=0, help="the sweep's --base-seed")
+    p.add_argument("--realization", type=int, default=0,
+                   help="realization index; reproduces the sweep rows with this index")
     p.add_argument("--out-edges", required=True)
     p.add_argument("--out-features", required=True)
     p.set_defaults(func=_cmd_randomize)

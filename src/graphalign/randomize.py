@@ -15,6 +15,7 @@ import scipy.sparse as sp
 __all__ = [
     "randomize_graph",
     "randomize_features",
+    "feature_permutation",
     "derive_seed",
 ]
 
@@ -93,22 +94,33 @@ def randomize_graph(adjacency: sp.spmatrix, p_graph: float, seed: int) -> sp.csr
     return a
 
 
-def randomize_features(features: np.ndarray, p_features: float, seed: int) -> np.ndarray:
-    """Swap the feature vectors of a percentage of randomly chosen nodes.
+def feature_permutation(n_rows: int, p_features: float, seed: int) -> np.ndarray:
+    """Row index array of the feature randomization.
 
     floor(N * p/100) distinct rows are drawn uniformly and receive a
-    uniform random permutation of themselves; all other rows are left
-    untouched. The multiset of rows (and therefore the singular value
-    spectrum) is preserved exactly. p=0 returns a copy of the input.
+    uniform random permutation of themselves; all other rows map to
+    themselves. Row i of the randomized copy is row ``perm[i]`` of the
+    input, so ``randomize_features(x, p, seed)`` equals
+    ``x[feature_permutation(len(x), p, seed)]``. p=0 is the identity.
     """
     if not (0 <= p_features <= 100):
         raise ValueError("p_features must lie in [0, 100]")
-    x = np.array(features, copy=True)
-    n = x.shape[0]
-    n_swap = int(np.floor(n * p_features / 100.0))
+    perm = np.arange(n_rows)
+    n_swap = int(np.floor(n_rows * p_features / 100.0))
     if n_swap == 0:
-        return x
+        return perm
     rng = np.random.default_rng(seed)
-    rows = rng.choice(n, size=n_swap, replace=False)
-    x[rows] = x[rows[rng.permutation(n_swap)]]
-    return x
+    rows = rng.choice(n_rows, size=n_swap, replace=False)
+    perm[rows] = rows[rng.permutation(n_swap)]
+    return perm
+
+
+def randomize_features(features: np.ndarray, p_features: float, seed: int) -> np.ndarray:
+    """Swap the feature vectors of a percentage of randomly chosen nodes.
+
+    The rows are permuted by :func:`feature_permutation`, so the multiset
+    of rows (and therefore the singular value spectrum) is preserved
+    exactly. p=0 returns a copy of the input.
+    """
+    x = np.asarray(features)
+    return x[feature_permutation(x.shape[0], p_features, seed)]

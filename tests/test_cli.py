@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from graphalign import load_dataset, read_rows, write_rows
+import graphalign
+from graphalign import alignment_at, load_dataset, read_rows, write_rows
 from graphalign.cli import cli
-from graphalign.experiments import CSV_HEADER
+from graphalign.experiments import CSV_HEADER, _randomized_dataset
 
 GEN_ARGS = ["--nodes", "60", "--communities", "3", "--features-per-community", "4",
             "--p-in", "0.3", "--p-out", "0.05", "--seed", "1"]
@@ -77,6 +81,27 @@ def test_randomize_deterministic(dataset_files, tmp_path, capsys):
     assert open(fa).read() == open(fb).read()
     degraded = load_dataset(ea, fa)
     assert degraded.n_nodes == 60
+
+
+def test_randomize_reproduces_sweep_realization(dataset_files, tmp_path, capsys):
+    """The CLI copy at (percent, realization, seed) is the dataset behind that sweep row."""
+    oe, of = str(tmp_path / "e.txt"), str(tmp_path / "f.txt")
+    code = cli(["randomize", *file_args(dataset_files), "--axis", "both", "--percent", "50",
+                "--rand-seed", "3", "--realization", "2", "--out-edges", oe, "--out-features", of])
+    assert code == 0
+    degraded = load_dataset(oe, of)
+    expected = _randomized_dataset(load_dataset(*dataset_files), "both", 50, 3, 2)
+    assert np.array_equal(degraded.features, expected.features)
+    assert (degraded.adjacency != expected.adjacency).nnz == 0
+
+    out = tmp_path / "sweep.csv"
+    code = cli(["sweep", *file_args(dataset_files), "--axis", "both", "--kx", "5", "--ka", "4",
+                "--grid", "50", "--realizations", "3", "--base-seed", "3", "--out", str(out)])
+    assert code == 0
+    row = next(r for r in read_rows(out) if r.realization == 2)
+    assert row.percent == 50
+    assert alignment_at(degraded, 5, 4).sam == row.sam
+    capsys.readouterr()
 
 
 def test_sweep_to_csv_and_correlate(dataset_files, tmp_path, capsys):
@@ -168,7 +193,11 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # The child imports the package this suite imports, installed or not.
+    src = str(Path(graphalign.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-m", "graphalign.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "sweep" in proc.stdout

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from graphalign import derive_seed, randomize_features, randomize_graph
+from graphalign import (
+    OrthonormalBasis,
+    derive_seed,
+    feature_permutation,
+    principal_angles,
+    randomize_features,
+    randomize_graph,
+    row_normalize_features,
+)
 from graphalign.randomize import rewire_stubs
+from graphalign.subspaces import left_singular_factor
 
 from conftest import make_dataset
 
@@ -140,6 +152,54 @@ def test_randomize_features_deterministic():
     b = randomize_features(x, 60, seed=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, randomize_features(x, 60, seed=5))
+
+
+def _swap_rows_reference(x, p, seed):
+    """The in-place row swap that randomize_features ran before the row
+    draw became feature_permutation, kept to pin the draw order."""
+    x = np.array(x, copy=True)
+    n_swap = int(np.floor(x.shape[0] * p / 100.0))
+    if n_swap:
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(x.shape[0], size=n_swap, replace=False)
+        x[rows] = x[rows[rng.permutation(n_swap)]]
+    return x
+
+
+def test_randomize_features_is_row_permutation():
+    n = 37
+    x = np.random.default_rng(2).random((n, 5))
+    for p in range(0, 101, 10):
+        for seed in (0, 3):
+            perm = feature_permutation(n, p, seed)
+            assert np.array_equal(np.sort(perm), np.arange(n))
+            assert int((perm != np.arange(n)).sum()) <= int(np.floor(n * p / 100))
+            assert np.array_equal(randomize_features(x, p, seed), x[perm])
+            assert np.array_equal(x[perm], _swap_rows_reference(x, p, seed))
+    with pytest.raises(ValueError):
+        feature_permutation(n, 100.5, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    x=arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 8)),
+             elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0])),
+    p=st.sampled_from(range(0, 101, 10)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_left_factor_of_permuted_rows_is_permuted_factor(x, p, seed):
+    """U(P X) = P U(X): row normalization and the SVD commute with a row
+    permutation, at every cut where the singular values have a gap."""
+    perm = feature_permutation(x.shape[0], p, seed)
+    xn = row_normalize_features(x)
+    u, s = left_singular_factor(xn)
+    u_perm, _ = left_singular_factor(xn[perm])
+    s_next = np.append(s[1:], 0.0)
+    for k in range(1, min(len(s), x.shape[0] - 1) + 1):
+        if s[k - 1] - s_next[k - 1] > 1e-3 * s[0]:
+            angles = principal_angles(OrthonormalBasis(u_perm[:, :k]),
+                                      OrthonormalBasis(u[perm, :k])).angles
+            assert angles.max() <= 1e-10
 
 
 def test_randomize_features_rejects_bad_percent():

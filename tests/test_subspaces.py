@@ -6,8 +6,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from graphalign import (
+    METRICS,
     OrthonormalBasis,
     alignment_at,
+    derive_seed,
     dimension_grid,
     distance_matrix,
     feature_basis,
@@ -22,8 +24,10 @@ from graphalign import (
     sam,
     subspace_distance,
 )
+from graphalign.datasets import row_normalize_features
 from graphalign.subspaces import (
     DistanceMatrix3,
+    _sam_grid,
     _sq_distance_grids,
     graph_spectrum,
     left_singular_factor,
@@ -83,6 +87,36 @@ def test_graph_spectrum_sparse_equals_dense_input(small_constructive):
 def test_graph_basis_degenerate_tiebreak():
     basis = graph_basis(np.eye(3), 2)
     assert np.allclose(basis.matrix, np.eye(3)[:, :2], atol=1e-12)
+
+
+def _largest_angle(b1, b2):
+    return float(principal_angles(OrthonormalBasis(b1), OrthonormalBasis(b2)).angles.max())
+
+
+def test_graph_basis_top_k_matches_full_spectrum_prefix(small_constructive):
+    rewired = randomize_graph(small_constructive.adjacency, 100, 5)
+    for adjacency in (small_constructive.adjacency, rewired):
+        a_hat = normalized_adjacency(adjacency)
+        w, v = graph_spectrum(a_hat)
+        for k in (1, 4, 5, 10, 60):
+            assert w[k - 1] - w[k] > 1e-4  # a cut with a gap: the top-k span is unique
+            basis = graph_basis(a_hat, k)
+            basis.validate()
+            assert _largest_angle(basis.matrix, v[:, :k]) <= 1e-12
+
+
+def test_graph_basis_tie_at_cut_uses_full_spectrum():
+    # Three identical paths: every eigenvalue has multiplicity three.
+    path = np.diag(np.ones(3), 1)
+    a_hat = normalized_adjacency(sp.block_diag([path + path.T] * 3, format="csr"))
+    n = a_hat.shape[0]
+    w, v = graph_spectrum(a_hat)
+    assert np.allclose(w[:3], 1.0, atol=1e-12) and w[2] - w[3] > 0.1
+    for k in (1, 2, 4, 5, 7):  # cuts inside a repeated eigenvalue, k + 1 < n
+        assert k + 1 < n and abs(w[k - 1] - w[k]) <= 1e-12
+        assert np.array_equal(graph_basis(a_hat, k).matrix, v[:, :k])
+    for k in (3, 6):  # cuts between distinct eigenvalues
+        assert _largest_angle(graph_basis(a_hat, k).matrix, v[:, :k]) <= 1e-12
 
 
 def test_graph_basis_two_node_edge():
@@ -344,3 +378,53 @@ def test_optimize_dimensions_deterministic(small_constructive):
     assert (r1.k_star_x, r1.k_star_a, r1.k_star_y) == (r2.k_star_x, r2.k_star_a, r2.k_star_y)
     assert np.array_equal(r1.distances.values, r2.distances.values)
     assert r1.sam == r2.sam
+
+
+def _reference_full_spectrum(a_hat):
+    """The full eigendecomposition the search used to run for every null."""
+    w, v = scipy.linalg.eigh(a_hat.toarray())
+    return v[:, np.argsort(-w, kind="stable")]
+
+
+def _reference_search(dataset, metric, n_null, grid_points, rounds, seed):
+    """The dimension search before nulls were cached: every round redraws
+    every null, runs its feature SVD and its full graph eigendecomposition."""
+    n, f = dataset.n_nodes, dataset.num_classes
+    y_basis = groundtruth_basis(one_hot(dataset.labels, f))
+    u_orig, _ = left_singular_factor(row_normalize_features(dataset.features))
+    v_orig = _reference_full_spectrum(normalized_adjacency(dataset.adjacency))
+    kx_grid = dimension_grid(f, min(dataset.n_features, n - 1), grid_points)
+    ka_grid = dimension_grid(f, n - 1, grid_points)
+    for round_index in range(rounds):
+        objective = -_sam_grid(u_orig, v_orig, y_basis.matrix, kx_grid, ka_grid, metric)
+        for r in range(n_null):
+            x_null = randomize_features(dataset.features, 100.0, derive_seed(seed, r, 0))
+            a_null = randomize_graph(dataset.adjacency, 100.0, derive_seed(seed, r, 1))
+            u_null, _ = left_singular_factor(row_normalize_features(x_null))
+            v_null = _reference_full_spectrum(normalized_adjacency(a_null))
+            null_sam = _sam_grid(u_null, v_null, y_basis.matrix, kx_grid, ka_grid, metric)
+            objective += null_sam / n_null
+        ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
+        kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
+        if round_index + 1 < rounds:
+            kx_grid = dimension_grid(int(kx_grid[max(ix - 1, 0)]),
+                                     int(kx_grid[min(ix + 1, len(kx_grid) - 1)]), grid_points)
+            ka_grid = dimension_grid(int(ka_grid[max(ia - 1, 0)]),
+                                     int(ka_grid[min(ia + 1, len(ka_grid) - 1)]), grid_points)
+    distances = distance_matrix(OrthonormalBasis(u_orig[:, :kx_best]),
+                                OrthonormalBasis(v_orig[:, :ka_best]), y_basis, metric)
+    return kx_best, ka_best, distances, sam(distances)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_optimize_dimensions_matches_per_round_null_search(small_constructive, metric, seed):
+    kx, ka, distances, sam_value = _reference_search(
+        small_constructive, metric, n_null=4, grid_points=10, rounds=3, seed=seed
+    )
+    res = optimize_dimensions(small_constructive, metric=metric, n_null=4, rounds=3, seed=seed)
+    assert (res.k_star_x, res.k_star_a) == (kx, ka)
+    assert res.sam == pytest.approx(sam_value, rel=1e-10, abs=0.0)
+    for got, want in ((res.distances.d_xa, distances.d_xa), (res.distances.d_xy, distances.d_xy),
+                      (res.distances.d_ay, distances.d_ay)):
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
