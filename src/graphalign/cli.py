@@ -109,11 +109,23 @@ def _parse_grid(text: str) -> tuple[int, ...]:
         raise CliUsageError(f"cannot parse grid {text!r} (use start:stop:step or a,b,c)") from None
 
 
+def _seed(text: str) -> int:
+    """Argument type of the seed and realization flags: the seed rule
+    hashes them, so they must be nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("dataset")
     group.add_argument("--dataset", choices=("constructive", "files"), default="constructive",
                        help="built-in generated benchmark or files on disk")
-    group.add_argument("--seed", type=int, default=0, help="generation seed (constructive)")
+    group.add_argument("--seed", type=_seed, default=0, help="generation seed (constructive)")
     group.add_argument("--edges", help="edge-list file (--dataset files)")
     group.add_argument("--features", help="per-node feature/label file (--dataset files)")
     group.add_argument("--format", choices=("generic", "cora"), default="generic")
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-per-community", type=int, default=50)
     p.add_argument("--p-in", type=float, default=0.07)
     p.add_argument("--p-out", type=float, default=0.007)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--out-features", required=True)
     p.add_argument("--config", help="key = value file supplying any flag", metavar="FILE")
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nulls", type=int, default=100, help="null realizations (10 = quick)")
     p.add_argument("--grid-points", type=int, default=10)
     p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--align-seed", type=int, default=0)
+    p.add_argument("--align-seed", type=_seed, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_align)
 
@@ -288,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--axis", choices=AXES, default="both")
     p.add_argument("--percent", type=int, required=True, help="integer percent, as on a sweep grid")
-    p.add_argument("--rand-seed", type=int, default=0, help="the sweep's --base-seed")
-    p.add_argument("--realization", type=int, default=0,
+    p.add_argument("--rand-seed", type=_seed, default=0, help="the sweep's --base-seed")
+    p.add_argument("--realization", type=_seed, default=0,
                    help="realization index; reproduces the sweep rows with this index")
     p.add_argument("--out-edges", required=True)
     p.add_argument("--out-features", required=True)
@@ -304,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=5e-4)
     p.add_argument("--epochs", type=int, default=400)
     p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--train-seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--train-seed", type=_seed, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_train)
 
@@ -316,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, default=100)
     p.add_argument("--variants", default="gcn", help="comma-separated model variants")
     p.add_argument("--metric", choices=METRICS, default="chordal")
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--base-seed", type=_seed, default=0)
     p.add_argument("--kx", type=int, help="fix the feature dimension (skips optimization)")
     p.add_argument("--ka", type=int, help="fix the graph dimension (skips optimization)")
     p.add_argument("--nulls", type=int, default=100)
     p.add_argument("--grid-points", type=int, default=10)
     p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--align-seed", type=int, default=0)
+    p.add_argument("--align-seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_sweep)

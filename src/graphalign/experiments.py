@@ -123,17 +123,25 @@ def _randomized_dataset(dataset: Dataset, axis: str, percent: int,
     return replace(dataset, adjacency=adjacency, features=features)
 
 
+def _keeps_features(axis: str, percent: int) -> bool:
+    """Whether the cells at this axis and percent see the original features."""
+    return axis == "graph" or percent == 0
+
+
 def _cell_rows(args) -> dict[str, list[SweepRow]]:
     """All rows for one (percent, realization) cell, keyed by metric.
 
     The randomization, the principal angles and one training per variant
     are shared across metrics; only the angle-to-distance reduction
-    differs. Module-level so worker processes can unpickle it.
+    differs. `basis_x` is the sweep's feature basis of the original
+    features, used as it is when the cell keeps them. Module-level so
+    worker processes can unpickle it.
     """
-    spec, dims, metrics, split, percent, realization = args
+    spec, dims, metrics, split, basis_x, percent, realization = args
     ds = _randomized_dataset(spec.dataset, spec.axis, percent, spec.base_seed, realization)
 
-    basis_x = feature_basis(row_normalize_features(ds.features), dims.k_star_x)
+    if not _keeps_features(spec.axis, percent):
+        basis_x = feature_basis(row_normalize_features(ds.features), dims.k_star_x)
     basis_a = graph_basis(normalized_adjacency(ds.adjacency), dims.k_star_a)
     basis_y = groundtruth_basis(one_hot(ds.labels, ds.num_classes), dims.k_star_y)
     th_xa = principal_angles(basis_x, basis_a)
@@ -196,8 +204,15 @@ def run_sweep_multi(
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
     split = build_split(spec.dataset.labels, seed=spec.base_seed)
+    # One decomposition of the original features serves every cell that
+    # keeps them. A cell with permuted feature rows P decomposes its own:
+    # P U(X) spans U(P X) only to rounding, while a row's SAM equals, bit
+    # for bit, alignment_at on the CLI's copy of its realization.
+    basis_x = None
+    if any(_keeps_features(spec.axis, percent) for percent in spec.percents):
+        basis_x = feature_basis(row_normalize_features(spec.dataset.features), dims.k_star_x)
     tasks = [
-        (spec, dims, tuple(metrics), split, percent, realization)
+        (spec, dims, tuple(metrics), split, basis_x, percent, realization)
         for percent in spec.percents
         for realization in range(spec.realizations)
     ]

@@ -12,6 +12,18 @@ softmax layer. Every variant is fit by one loop: full-batch
 adaptive-moment gradient descent, L2 on the first-layer weights, and
 early stopping on the validation loss; the two-layer model also applies
 dropout to both layer inputs.
+
+Each pass computes only the output rows it reads: a training epoch the
+training nodes (the loss), the validation pass the validation nodes
+(early stopping) and the final pass the test nodes (the accuracy). The
+output layer then uses P restricted to those rows, P_S = P[S], and the
+backward pass P_S and its transpose. The first layer relu(P X W0) stays
+full-size: the output rows read it on their 1-hop neighbourhood, which
+for the training and validation nodes of the benchmark graph covers 890
+of its 1000 nodes, and a full-size first layer draws every dropout mask
+at full size, so the random stream does not depend on the rows. The
+simplified variant slices its propagated features P^K X once per split
+part.
 """
 
 from __future__ import annotations
@@ -122,18 +134,35 @@ class MeanFieldPropagation:
     """The complete-graph operator ones*ones^T / N, applied implicitly.
 
     Keeps the mean-field limiting case O(N*C) instead of materializing an
-    N x N dense matrix.
+    N x N dense matrix. Like a sparse matrix it can be restricted to rows,
+    ``op[rows]``, and transposed, ``op.T``; either result is the constant
+    operator ones((r, c)) / N of its own shape (r, c).
     """
 
     def __init__(self, n: int):
         self.n = n
         self.shape = (n, n)
 
+    def _reshaped(self, shape: tuple[int, int]) -> MeanFieldPropagation:
+        op = MeanFieldPropagation(self.n)
+        op.shape = shape
+        return op
+
+    def __getitem__(self, rows) -> MeanFieldPropagation:
+        return self._reshaped((np.arange(self.shape[0])[rows].size, self.shape[1]))
+
+    @property
+    def T(self) -> MeanFieldPropagation:
+        return self._reshaped(self.shape[::-1])
+
     def __matmul__(self, m: np.ndarray) -> np.ndarray:
         if sp.issparse(m):
             m = m.toarray()
-        col_means = np.asarray(m).mean(axis=0)
-        return np.broadcast_to(col_means, m.shape).copy()
+        m = np.asarray(m)
+        if m.shape[0] != self.shape[1]:
+            raise ValueError(f"operand has {m.shape[0]} rows, the operator {self.shape[1]} columns")
+        col_means = m.sum(axis=0) / self.n
+        return np.broadcast_to(col_means, (self.shape[0], m.shape[1])).copy()
 
 
 def propagation_operator(dataset: Dataset, variant: str):
@@ -182,15 +211,19 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _forward_pass(w0: np.ndarray, w1: np.ndarray, a_hat, x, dropout: float,
+def _forward_pass(w0: np.ndarray, w1: np.ndarray, a_hat, a_rows, x, dropout: float,
                   rng: np.random.Generator | None):
-    """The two-layer forward pass, with inverted dropout on both layer
-    inputs when an `rng` is given and `dropout` > 0.
+    """The two-layer forward pass, output on the rows of `a_rows` only.
 
-    Returns the class probabilities and what :func:`_backward` needs: the
-    (possibly dropped-out) input features, the first-layer pre-activation,
-    the hidden layer input and the hidden dropout scale (None without
-    dropout).
+    `a_rows` is `a_hat` restricted to the output rows (``a_hat[rows]``, or
+    `a_hat` itself for every node). The first layer, and with it the
+    inverted dropout on both layer inputs (applied when an `rng` is given
+    and `dropout` > 0), is computed on every node.
+
+    Returns the class probabilities of the output rows and what
+    :func:`_backward` needs: the (possibly dropped-out) input features,
+    the first-layer pre-activation, the hidden layer input and the hidden
+    dropout scale (None without dropout), all for every node.
     """
     use_dropout = rng is not None and dropout > 0
     x_in = _dropout(x, dropout, rng) if use_dropout else x
@@ -201,7 +234,7 @@ def _forward_pass(w0: np.ndarray, w1: np.ndarray, a_hat, x, dropout: float,
         keep = 1.0 - dropout
         h_scale = (rng.random(h_in.shape) < keep) / keep
         h_in = h_in * h_scale
-    z = _softmax_rows(a_hat @ (h_in @ w1))
+    z = _softmax_rows(a_rows @ (h_in @ w1))
     return z, (x_in, s1, h_in, h_scale)
 
 
@@ -221,7 +254,8 @@ def forward(
     """
     if dropout_on and rng is None:
         raise ValueError("dropout_on requires an rng")
-    z, _ = _forward_pass(model.w0, model.w1, a_hat, x, dropout, rng if dropout_on else None)
+    z, _ = _forward_pass(model.w0, model.w1, a_hat, a_hat, x, dropout,
+                         rng if dropout_on else None)
     return z
 
 
@@ -234,9 +268,10 @@ def loss(
 ) -> float:
     """Cross-entropy summed over the labeled nodes, plus the L2 penalty.
 
-    Probabilities are clamped at 1e-12 before the log so the value stays
-    finite. The penalty is l2_weight/2 times the squared Frobenius norm of
-    the first-layer weights.
+    `train_mask` selects the labeled rows of `z` and `y` (a boolean mask,
+    or any numpy index). Probabilities are clamped at 1e-12 before the
+    log so the value stays finite. The penalty is l2_weight/2 times the
+    squared Frobenius norm of the first-layer weights.
     """
     zc = np.clip(z[train_mask], 1e-12, None)
     ce = -float(np.sum(y[train_mask] * np.log(zc)))
@@ -249,23 +284,28 @@ def _backward(
     w0: np.ndarray,
     w1: np.ndarray,
     a_hat,
+    a_rows,
     cache: tuple,
     z: np.ndarray,
     y: np.ndarray,
-    train_mask: np.ndarray,
     l2_weight: float,
     ce_scale: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of (ce_scale * summed cross-entropy + L2) w.r.t. (W0, W1).
+    """Gradients of (ce_scale * cross-entropy summed over the labeled rows
+    + L2) w.r.t. (W0, W1).
 
-    `cache` is what :func:`_forward_pass` returned next to `z`; the hidden
-    dropout scale in it routes the gradient through the dropout mask.
+    `a_rows`, `z` and `y` hold the labeled rows only: `a_rows` is the
+    operator restricted to them, as :func:`_forward_pass` was given it,
+    and `cache` is what that pass returned next to `z`. The output
+    gradient lives on those rows alone, so the output layer needs only
+    the restricted operator and its transpose; the first layer's product
+    stays full-size. The hidden dropout scale in `cache` routes the
+    gradient through the dropout mask.
     """
     x_in, s1, h_in, h_scale = cache
-    g2 = np.zeros_like(z)
-    g2[train_mask] = (z[train_mask] - y[train_mask]) * ce_scale
-    gw1 = (a_hat @ h_in).T @ g2
-    gh_in = (a_hat @ g2) @ w1.T
+    g2 = (z - y) * ce_scale
+    gw1 = (a_rows @ h_in).T @ g2
+    gh_in = (a_rows.T @ g2) @ w1.T
     if h_scale is not None:
         gh_in = gh_in * h_scale
     gs1 = gh_in * (s1 > 0)
@@ -281,9 +321,16 @@ def gradients(
     train_mask: np.ndarray,
     l2_weight: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of :func:`loss` at the given weights, dropout off."""
-    z, cache = _forward_pass(model.w0, model.w1, a_hat, x, 0.0, None)
-    return _backward(model.w0, model.w1, a_hat, cache, z, y, train_mask, l2_weight, ce_scale=1.0)
+    """Analytic gradients of :func:`loss` at the given weights, dropout off.
+
+    Runs the training engine's forward and backward pass, restricted to
+    the rows of `train_mask`.
+    """
+    rows = np.flatnonzero(train_mask)
+    a_rows = a_hat[rows]
+    z, cache = _forward_pass(model.w0, model.w1, a_hat, a_rows, x, 0.0, None)
+    return _backward(model.w0, model.w1, a_hat, a_rows, cache, z, y[rows], l2_weight,
+                     ce_scale=1.0)
 
 
 class _Adam:
@@ -369,17 +416,25 @@ def build_split(
     return split
 
 
-def _accuracy(z: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float | None:
-    if not mask.any():
+def _accuracy(z: np.ndarray, labels: np.ndarray) -> float | None:
+    if not len(labels):
         return None
-    predicted = z[mask].argmax(axis=1)
-    return float(np.mean(predicted == labels[mask]))
+    return float(np.mean(z.argmax(axis=1) == labels))
 
 
 def _check_finite(value: float, epoch: int) -> float:
     if not np.isfinite(value):
         raise TrainingDiverged(epoch)
     return value
+
+
+def _split_rows(split: SplitSpec) -> dict[str, np.ndarray]:
+    """Ascending node indexes of each split part."""
+    return {
+        "train": np.flatnonzero(split.train_mask),
+        "val": np.flatnonzero(split.val_mask),
+        "test": np.flatnonzero(split.test_mask),
+    }
 
 
 def _fit(
@@ -389,22 +444,29 @@ def _fit(
     backward_fn: Callable,
     dataset: Dataset,
     config: GcnConfig,
-    split: SplitSpec,
+    rows: dict[str, np.ndarray],
 ) -> TrainReport:
     """The early-stopping training loop shared by every variant.
 
+    `rows` holds the node indexes of each split part (``"train"``,
+    ``"val"``, ``"test"``), and ``forward_fn(weights, part, rng)`` returns
+    the class probabilities of that part's nodes only, plus a cache for
+    ``backward_fn(weights, cache, z, y)``, which takes the probabilities
+    and one-hot labels of the training nodes. No pass computes an output
+    row that nothing reads.
+
     Weights are drawn Glorot-uniform layer by layer for the given layer
-    `widths`, then each epoch runs `forward_fn(weights, rng)` in training
-    mode, checks the mean training loss is finite, takes one Adam step
-    along `backward_fn(weights, cache, z, y, n_train)`, and evaluates the
-    validation loss with `forward_fn(weights, None)` (evaluation mode).
-    Training stops once the validation loss has not improved for
-    `patience` consecutive epochs; the final-epoch weights are evaluated
-    on the test nodes.
+    `widths`. Each epoch then runs the forward pass on the training nodes
+    in training mode, checks the mean training loss is finite, takes one
+    Adam step along the gradient, and computes the validation loss on the
+    validation nodes in evaluation mode (`rng` None). Training stops once
+    the validation loss has not improved for `patience` consecutive
+    epochs; the final-epoch weights are evaluated on the test nodes.
     """
     y = one_hot(dataset.labels, dataset.num_classes)
-    n_train = int(split.train_mask.sum())
-    n_val = int(split.val_mask.sum())
+    y_train, y_val = y[rows["train"]], y[rows["val"]]
+    n_train, n_val = len(y_train), len(y_val)
+    every = slice(None)  # z and y hold only the rows a loss sums over
 
     rng = np.random.default_rng(config.seed)
     weights = [_glorot(rng, fan_in, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
@@ -414,15 +476,15 @@ def _fit(
     best_val = np.inf
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
-        z, cache = forward_fn(weights, rng)
-        train_loss = loss(z, y, split.train_mask, weights[0], config.l2_weight) / n_train
+        z, cache = forward_fn(weights, "train", rng)
+        train_loss = loss(z, y_train, every, weights[0], config.l2_weight) / n_train
         report.train_losses.append(_check_finite(train_loss, epoch))
-        optimizer.step(weights, backward_fn(weights, cache, z, y, n_train))
+        optimizer.step(weights, backward_fn(weights, cache, z, y_train))
         report.epochs_run = epoch
 
         if n_val:
-            z_eval, _ = forward_fn(weights, None)
-            val_loss = loss(z_eval, y, split.val_mask, weights[0], config.l2_weight) / n_val
+            z_val, _ = forward_fn(weights, "val", None)
+            val_loss = loss(z_val, y_val, every, weights[0], config.l2_weight) / n_val
             report.val_losses.append(_check_finite(val_loss, epoch))
             if val_loss < best_val:
                 best_val = val_loss
@@ -434,10 +496,50 @@ def _fit(
         else:
             report.val_losses.append(float("nan"))
 
-    z_final, _ = forward_fn(weights, None)
-    report.test_accuracy = _accuracy(z_final, dataset.labels, split.test_mask)
+    z_test, _ = forward_fn(weights, "test", None)
+    report.test_accuracy = _accuracy(z_test, dataset.labels[rows["test"]])
     report.model = GcnModel(*weights)
     return report
+
+
+def _gcn_model(dataset: Dataset, variant: str, config: GcnConfig,
+               rows: dict[str, np.ndarray]) -> tuple[tuple[int, ...], Callable, Callable]:
+    """Layer widths, forward and backward pass of a two-layer variant,
+    for :func:`_fit`. The operator is restricted to each split part's
+    rows once, up front."""
+    a_hat = propagation_operator(dataset, variant)
+    x = _model_features(dataset, variant)
+    a_rows = {part: a_hat[idx] for part, idx in rows.items()}
+
+    def forward_fn(weights, part, rng):
+        return _forward_pass(*weights, a_hat, a_rows[part], x, config.dropout, rng)
+
+    def backward_fn(weights, cache, z, y):
+        return _backward(*weights, a_hat, a_rows["train"], cache, z, y,
+                         config.l2_weight, ce_scale=1.0 / len(y))
+
+    return (x.shape[1], config.hidden_units, dataset.num_classes), forward_fn, backward_fn
+
+
+def _sgc_model(dataset: Dataset, degree: int, config: GcnConfig,
+               rows: dict[str, np.ndarray]) -> tuple[tuple[int, ...], Callable, Callable]:
+    """Layer widths, forward and backward pass of the simplified variant,
+    for :func:`_fit`. P^K X is computed once and sliced once per split
+    part."""
+    a_hat = propagation_operator(dataset, "sgc")
+    s = row_normalize_features(dataset.features)
+    for _ in range(degree):
+        s = a_hat @ s
+    s = np.asarray(s)
+    s_rows = {part: s[idx] for part, idx in rows.items()}
+
+    def forward_fn(weights, part, rng):
+        return _softmax_rows(s_rows[part] @ weights[0]), None
+
+    def backward_fn(weights, cache, z, y):
+        return [s_rows["train"].T @ ((z - y) / len(y)) + config.l2_weight * weights[0]]
+
+    return (s.shape[1], dataset.num_classes), forward_fn, backward_fn
 
 
 def train(
@@ -462,18 +564,8 @@ def train(
         raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
     if split is None:
         split = build_split(dataset.labels, seed=0)
-    a_hat = propagation_operator(dataset, variant)
-    x = _model_features(dataset, variant)
-
-    def forward_fn(weights, rng):
-        return _forward_pass(*weights, a_hat, x, config.dropout, rng)
-
-    def backward_fn(weights, cache, z, y, n_train):
-        return _backward(*weights, a_hat, cache, z, y, split.train_mask,
-                         config.l2_weight, ce_scale=1.0 / n_train)
-
-    widths = (x.shape[1], config.hidden_units, dataset.num_classes)
-    return _fit(variant, widths, forward_fn, backward_fn, dataset, config, split)
+    rows = _split_rows(split)
+    return _fit(variant, *_gcn_model(dataset, variant, config, rows), dataset, config, rows)
 
 
 def train_sgc(
@@ -494,19 +586,5 @@ def train_sgc(
         raise ValueError("degree must be nonnegative")
     if split is None:
         split = build_split(dataset.labels, seed=0)
-    a_hat = propagation_operator(dataset, "sgc")
-    s = row_normalize_features(dataset.features)
-    for _ in range(degree):
-        s = a_hat @ s
-    s = np.asarray(s)
-
-    def forward_fn(weights, rng):
-        return _softmax_rows(s @ weights[0]), None
-
-    def backward_fn(weights, cache, z, y, n_train):
-        g = np.zeros_like(z)
-        g[split.train_mask] = (z[split.train_mask] - y[split.train_mask]) / n_train
-        return [s.T @ g + config.l2_weight * weights[0]]
-
-    widths = (s.shape[1], dataset.num_classes)
-    return _fit("sgc", widths, forward_fn, backward_fn, dataset, config, split)
+    rows = _split_rows(split)
+    return _fit("sgc", *_sgc_model(dataset, degree, config, rows), dataset, config, rows)

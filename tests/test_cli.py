@@ -156,6 +156,26 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("randomize", "--realization"),
+    ("randomize", "--rand-seed"),
+    ("sweep", "--base-seed"),
+    ("sweep", "--align-seed"),
+    ("align", "--align-seed"),
+    ("train", "--train-seed"),
+    ("train", "--split-seed"),
+    ("train", "--seed"),
+    ("generate", "--seed"),
+])
+def test_negative_seed_is_usage_error(command, flag, tmp_path, capsys):
+    outputs = ["--out-edges", str(tmp_path / "e"), "--out-features", str(tmp_path / "f")]
+    extra = {"randomize": ["--percent", "50", *outputs], "generate": outputs}.get(command, [])
+    assert cli([command, flag, "-1", *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a nonnegative integer, got -1" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_help_exits_zero(capsys):
     assert cli(["-h"]) == 0
     assert "subspace" in capsys.readouterr().out.lower()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphalign import (
+    METRICS,
     ConstructiveSpec,
     GcnConfig,
     SweepRow,
@@ -18,7 +19,7 @@ from graphalign import (
     run_sweep_multi,
     write_rows,
 )
-from graphalign.experiments import CSV_HEADER
+from graphalign.experiments import CSV_HEADER, _randomized_dataset
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,22 @@ def test_multi_metric_sweep_shares_trainings(sweep_dataset):
         assert rc.accuracy == rp.accuracy  # one training serves both metrics
         assert rc.seed == rp.seed
         assert rc.sam >= rp.sam  # chordal sums all angles, projection takes one
+
+
+@pytest.mark.parametrize("axis", ["graph", "both"])
+def test_cell_alignment_equals_alignment_at_on_its_realization(sweep_dataset, axis):
+    """Cells that keep the features share the sweep's one feature basis;
+    every row's SAM and distances equal a fresh evaluation of its dataset."""
+    dims = alignment_at(sweep_dataset, 5, 4)
+    spec = quick_spec(sweep_dataset, axis=axis, realizations=1, variants=("sgc",))
+    by_metric = run_sweep_multi(spec, dims, metrics=METRICS)
+    for metric in METRICS:
+        assert [r.percent for r in by_metric[metric]] == [0, 50, 100]
+        for row in by_metric[metric]:
+            ds = _randomized_dataset(sweep_dataset, axis, row.percent, 0, row.realization)
+            fresh = alignment_at(ds, 5, 4, metric)
+            d = fresh.distances
+            assert (row.sam, row.d_xa, row.d_xy, row.d_ay) == (fresh.sam, d.d_xa, d.d_xy, d.d_ay)
 
 
 def test_sweep_workers_match_serial(sweep_dataset):

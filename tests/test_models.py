@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from conftest import make_dataset
 from graphalign import (
+    VARIANTS,
     Dataset,
     GcnConfig,
     GcnModel,
@@ -21,7 +22,16 @@ from graphalign import (
     train,
     train_sgc,
 )
-from graphalign.models import _model_features, _softmax_rows
+from graphalign.models import (
+    _Adam,
+    _dropout,
+    _gcn_model,
+    _glorot,
+    _model_features,
+    _sgc_model,
+    _softmax_rows,
+    _split_rows,
+)
 
 
 def manual_split(n, train_idx, val_idx):
@@ -259,6 +269,169 @@ def test_mean_field_operator_averages_rows():
     assert np.allclose(out, m.mean(axis=0)[None, :], atol=1e-12)
     assert np.allclose(op @ sp.csr_matrix(m), out, atol=1e-12)
     assert op.shape == (5, 5)
+
+
+def test_mean_field_rows_and_transpose_match_dense():
+    rng = np.random.default_rng(5)
+    n = 7
+    dense = np.ones((n, n)) / n
+    op = MeanFieldPropagation(n)
+    m = rng.random((n, 3))
+    for rows in (np.array([1, 4, 5]), rng.random(n) < 0.5, np.arange(n)):
+        restricted = op[rows]
+        r = len(dense[rows])
+        assert restricted.shape == (r, n) and restricted.T.shape == (n, r)
+        g = rng.random((r, 3))
+        assert np.abs(restricted @ m - dense[rows] @ m).max() <= 1e-14
+        assert np.abs(restricted @ sp.csr_matrix(m) - dense[rows] @ m).max() <= 1e-14
+        assert np.abs(restricted.T @ g - dense[rows].T @ g).max() <= 1e-14
+    assert np.abs(op.T @ m - dense.T @ m).max() <= 1e-14
+    with pytest.raises(ValueError, match="rows"):
+        op[np.array([0, 1])].T @ m
+
+
+# The full-N engine that computed every output row, kept as the reference
+# of the row-restricted one.
+
+def _reference_forward(w0, w1, a_hat, x, dropout, rng):
+    use_dropout = rng is not None and dropout > 0
+    x_in = _dropout(x, dropout, rng) if use_dropout else x
+    s1 = a_hat @ (x_in @ w0)
+    h_in = np.maximum(s1, 0.0)
+    h_scale = None
+    if use_dropout:
+        keep = 1.0 - dropout
+        h_scale = (rng.random(h_in.shape) < keep) / keep
+        h_in = h_in * h_scale
+    z = _softmax_rows(a_hat @ (h_in @ w1))
+    return z, (x_in, s1, h_in, h_scale)
+
+
+def _reference_backward(w0, w1, a_hat, cache, z, y, train_mask, l2_weight, ce_scale):
+    x_in, s1, h_in, h_scale = cache
+    g2 = np.zeros_like(z)
+    g2[train_mask] = (z[train_mask] - y[train_mask]) * ce_scale
+    gw1 = (a_hat @ h_in).T @ g2
+    gh_in = (a_hat @ g2) @ w1.T
+    if h_scale is not None:
+        gh_in = gh_in * h_scale
+    gs1 = gh_in * (s1 > 0)
+    gw0 = x_in.T @ (a_hat @ gs1) + l2_weight * w0
+    return [np.asarray(gw0), gw1]
+
+
+def _reference_model(dataset, variant, config, split):
+    """Full-N forward(weights, rng) and backward(weights, cache, z, y)."""
+    n_train = int(split.train_mask.sum())
+    if variant == "sgc":
+        a_hat = propagation_operator(dataset, "sgc")
+        s = np.asarray(a_hat @ (a_hat @ row_normalize_features(dataset.features)))
+
+        def forward_full(weights, rng):
+            return _softmax_rows(s @ weights[0]), None
+
+        def backward_full(weights, cache, z, y):
+            g = np.zeros_like(z)
+            g[split.train_mask] = (z[split.train_mask] - y[split.train_mask]) / n_train
+            return [s.T @ g + config.l2_weight * weights[0]]
+
+        return (s.shape[1], dataset.num_classes), forward_full, backward_full
+
+    a_hat = propagation_operator(dataset, variant)
+    x = _model_features(dataset, variant)
+
+    def forward_full(weights, rng):
+        return _reference_forward(*weights, a_hat, x, config.dropout, rng)
+
+    def backward_full(weights, cache, z, y):
+        return _reference_backward(*weights, a_hat, cache, z, y, split.train_mask,
+                                   config.l2_weight, 1.0 / n_train)
+
+    return (x.shape[1], config.hidden_units, dataset.num_classes), forward_full, backward_full
+
+
+def _reference_fit(dataset, variant, config, split):
+    """The full-N early-stopping loop: (epochs run, test accuracy)."""
+    widths, forward_full, backward_full = _reference_model(dataset, variant, config, split)
+    y = one_hot(dataset.labels, dataset.num_classes)
+    n_val = int(split.val_mask.sum())
+    rng = np.random.default_rng(config.seed)
+    weights = [_glorot(rng, a, b) for a, b in zip(widths, widths[1:])]
+    optimizer = _Adam([w.shape for w in weights], lr=config.learning_rate)
+    best_val, stale = np.inf, 0
+    for epoch in range(1, config.max_epochs + 1):
+        z, cache = forward_full(weights, rng)
+        assert np.isfinite(loss(z, y, split.train_mask, weights[0], config.l2_weight))
+        optimizer.step(weights, backward_full(weights, cache, z, y))
+        z_eval, _ = forward_full(weights, None)
+        val_loss = loss(z_eval, y, split.val_mask, weights[0], config.l2_weight) / n_val
+        if val_loss < best_val:
+            best_val, stale = val_loss, 0
+        else:
+            stale += 1
+        if stale >= config.patience:
+            break
+    z_final, _ = forward_full(weights, None)
+    mask = split.test_mask
+    return epoch, float(np.mean(z_final[mask].argmax(axis=1) == dataset.labels[mask]))
+
+
+def _engine_model(dataset, variant, config, rows):
+    if variant == "sgc":
+        return _sgc_model(dataset, 2, config, rows)
+    return _gcn_model(dataset, variant, config, rows)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_restricted_passes_match_full_rows(constructive, variant, dropout):
+    """Each pass's probabilities are the full pass's rows, and the
+    restricted backward matches the full one to rounding.
+
+    The two-layer variants restrict a sparse (or implicit) operator, whose
+    rows are computed alone either way: equal bit for bit. The simplified
+    variant multiplies dense rows, and BLAS may take another kernel for
+    fewer rows (OpenBLAS' small-matrix path), so its rows agree to rounding.
+    """
+    split = build_split(constructive.labels, seed=0)
+    rows = _split_rows(split)
+    config = GcnConfig(dropout=dropout)
+    widths, forward_fn, backward_fn = _engine_model(constructive, variant, config, rows)
+    ref_widths, forward_full, backward_full = _reference_model(constructive, variant, config, split)
+    assert widths == ref_widths
+    rng = np.random.default_rng(3)
+    weights = [_glorot(rng, a, b) for a, b in zip(widths, widths[1:])]
+    y = one_hot(constructive.labels, constructive.num_classes)
+
+    def same_rows(z, z_full_rows):
+        if variant == "sgc":
+            return np.abs(z - z_full_rows).max() <= 1e-14
+        return np.array_equal(z, z_full_rows)
+
+    for part, mask in (("train", split.train_mask), ("val", split.val_mask),
+                       ("test", split.test_mask)):
+        z_full, _ = forward_full(weights, None)
+        z, _ = forward_fn(weights, part, None)
+        assert same_rows(z, z_full[mask])
+        z_full, _ = forward_full(weights, np.random.default_rng(11))
+        z, _ = forward_fn(weights, part, np.random.default_rng(11))
+        assert same_rows(z, z_full[mask])
+
+    z_full, cache_full = forward_full(weights, np.random.default_rng(11))
+    z, cache = forward_fn(weights, "train", np.random.default_rng(11))
+    expected = backward_full(weights, cache_full, z_full, y)
+    got = backward_fn(weights, cache, z, y[rows["train"]])
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert np.linalg.norm(g - e) <= 1e-10 * np.linalg.norm(e)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_restricted_training_matches_full_rows(constructive, variant):
+    split = build_split(constructive.labels, seed=0)
+    report = train(constructive, variant, GcnConfig(), split=split)
+    assert (report.epochs_run, report.test_accuracy) == _reference_fit(
+        constructive, variant, GcnConfig(), split)
 
 
 def test_complete_graph_accuracy_near_chance(small_constructive):
