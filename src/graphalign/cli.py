@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .datasets import (
@@ -109,16 +110,26 @@ def _parse_grid(text: str) -> tuple[int, ...]:
         raise CliUsageError(f"cannot parse grid {text!r} (use start:stop:step or a,b,c)") from None
 
 
-def _seed(text: str) -> int:
-    """Argument type of the seed and realization flags: the seed rule
-    hashes them, so they must be nonnegative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
-    return value
+def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
+    """Argument type: an integer of at least `minimum`, named `kind` in
+    the usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+# The seed and realization flags: the seed rule hashes them.
+_seed = _int_at_least(0, "nonnegative")
+# The count flags (rounds, nulls, grid points, realizations, workers).
+_positive = _int_at_least(1, "positive")
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -289,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="optimize subspace dimensions, report the alignment")
     _add_dataset_args(p)
     p.add_argument("--metric", choices=METRICS, default="chordal")
-    p.add_argument("--nulls", type=int, default=100, help="null realizations (10 = quick)")
-    p.add_argument("--grid-points", type=int, default=10)
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--nulls", type=_positive, default=100, help="null realizations (10 = quick)")
+    p.add_argument("--grid-points", type=_positive, default=10)
+    p.add_argument("--rounds", type=_positive, default=2)
     p.add_argument("--align-seed", type=_seed, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_align)
@@ -325,17 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--axis", choices=AXES, default="both")
     p.add_argument("--grid", default="0:100:10", help="start:stop:step (stop inclusive) or a,b,c")
-    p.add_argument("--realizations", type=int, default=100)
+    p.add_argument("--realizations", type=_positive, default=100)
     p.add_argument("--variants", default="gcn", help="comma-separated model variants")
     p.add_argument("--metric", choices=METRICS, default="chordal")
     p.add_argument("--base-seed", type=_seed, default=0)
     p.add_argument("--kx", type=int, help="fix the feature dimension (skips optimization)")
     p.add_argument("--ka", type=int, help="fix the graph dimension (skips optimization)")
-    p.add_argument("--nulls", type=int, default=100)
-    p.add_argument("--grid-points", type=int, default=10)
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--nulls", type=_positive, default=100)
+    p.add_argument("--grid-points", type=_positive, default=10)
+    p.add_argument("--rounds", type=_positive, default=2)
     p.add_argument("--align-seed", type=_seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -134,16 +134,16 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
     The randomization, the principal angles and one training per variant
     are shared across metrics; only the angle-to-distance reduction
     differs. `basis_x` is the sweep's feature basis of the original
-    features, used as it is when the cell keeps them. Module-level so
-    worker processes can unpickle it.
+    features, used as it is when the cell keeps them; `basis_y` is the
+    sweep's label basis, which randomization never changes. Module-level
+    so worker processes can unpickle it.
     """
-    spec, dims, metrics, split, basis_x, percent, realization = args
+    spec, dims, metrics, split, basis_x, basis_y, percent, realization = args
     ds = _randomized_dataset(spec.dataset, spec.axis, percent, spec.base_seed, realization)
 
     if not _keeps_features(spec.axis, percent):
         basis_x = feature_basis(row_normalize_features(ds.features), dims.k_star_x)
     basis_a = graph_basis(normalized_adjacency(ds.adjacency), dims.k_star_a)
-    basis_y = groundtruth_basis(one_hot(ds.labels, ds.num_classes), dims.k_star_y)
     th_xa = principal_angles(basis_x, basis_a)
     th_xy = principal_angles(basis_x, basis_y)
     th_ay = principal_angles(basis_a, basis_y)
@@ -211,8 +211,11 @@ def run_sweep_multi(
     basis_x = None
     if any(_keeps_features(spec.axis, percent) for percent in spec.percents):
         basis_x = feature_basis(row_normalize_features(spec.dataset.features), dims.k_star_x)
+    basis_y = groundtruth_basis(
+        one_hot(spec.dataset.labels, spec.dataset.num_classes), dims.k_star_y
+    )
     tasks = [
-        (spec, dims, tuple(metrics), split, basis_x, percent, realization)
+        (spec, dims, tuple(metrics), split, basis_x, basis_y, percent, realization)
         for percent in spec.percents
         for realization in range(spec.realizations)
     ]

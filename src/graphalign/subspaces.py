@@ -316,9 +316,40 @@ def dimension_grid(lo: int, hi: int, points: int) -> np.ndarray:
     return np.unique(values)
 
 
-def _angles_from_cross(cross: np.ndarray) -> np.ndarray:
-    cosines = scipy.linalg.svdvals(cross)
-    return np.sort(np.arccos(np.clip(cosines, 0.0, 1.0)))
+def _sq_distances_from_grams(grams: np.ndarray, metric: str) -> np.ndarray:
+    """Squared grassmann or projection distances from Gram matrices of
+    cross blocks (one, or a stack of equal size), whose eigenvalues are the
+    squared cosines of the principal angles."""
+    sq_cosines = np.clip(np.linalg.eigvalsh(grams), 0.0, 1.0)  # ascending
+    if metric == "projection":
+        return 1.0 - sq_cosines[..., 0]
+    return np.sum(np.arccos(np.sqrt(sq_cosines)) ** 2, axis=-1)
+
+
+def _sq_distance_block_grid(
+    cross: np.ndarray, rows: np.ndarray, cols: np.ndarray, metric: str
+) -> np.ndarray:
+    """Squared distances of every leading block cross[:r, :c], r in `rows`,
+    c in `cols` (both ascending), from Gram eigenvalues.
+
+    The squared cosines of cell (r, c) are the eigenvalues of the smaller
+    of its two Grams: the leading r x r block of G_c = cross[:, :c]
+    cross[:, :c]^T when r <= c (G_c is formed once per column), else the
+    c x c Gram cross[:r, :c]^T cross[:r, :c]. The c x c Grams of a column
+    share one batched eigenvalue call.
+    """
+    d2 = np.empty((len(rows), len(cols)))
+    for j, c in enumerate(cols):
+        n_wide = int(np.searchsorted(rows, c, side="right"))
+        if n_wide:
+            lead = cross[: rows[n_wide - 1], :c]
+            gram_c = lead @ lead.T
+            for i, r in enumerate(rows[:n_wide]):
+                d2[i, j] = _sq_distances_from_grams(gram_c[:r, :r], metric)
+        if n_wide < len(rows):
+            grams = np.stack([cross[:r, :c].T @ cross[:r, :c] for r in rows[n_wide:]])
+            d2[n_wide:, j] = _sq_distances_from_grams(grams, metric)
+    return d2
 
 
 def _sq_distance_grids(
@@ -336,7 +367,17 @@ def _sq_distance_grids(
     submatrix of the full cross-product and all cells share three matrix
     products. For the chordal metric the squared distance
     sum_j sin^2(theta_j) = alpha - ||cross||_F^2 falls out of cumulative
-    sums without any per-cell SVD; the other metrics need the angles.
+    sums without any per-cell SVD. For the other metrics, the cosines of
+    the angles are the singular values of the cross block (Bjorck & Golub,
+    1973), so their squares are the eigenvalues of the block's Gram
+    matrix, and a cell costs one symmetric eigenvalue solve of size
+    min(k_x, k_a) instead of an SVD. Projection reads only the smallest
+    eigenvalue, sin^2(theta_max) = 1 - lambda_min, without an arccos;
+    grassmann reads them all, theta = arccos(sqrt(lambda)) with lambda
+    clipped to [0, 1]. A cosine near 0 comes from its square, so grassmann
+    resolves an angle near pi/2 only to about sqrt(eps); the grid only
+    ranks cells, and the reported distances come from
+    :func:`principal_angles`.
     """
     kx_max, ka_max = int(kx_grid[-1]), int(ka_grid[-1])
     f = y.shape[1]
@@ -354,17 +395,10 @@ def _sq_distance_grids(
         d2_ay = np.clip(f - row_ay[ka_grid - 1], 0.0, None)
         return d2_xa, d2_xy, d2_ay
 
-    d2_xa = np.empty((len(kx_grid), len(ka_grid)))
-    for i, kx in enumerate(kx_grid):
-        for j, ka in enumerate(ka_grid):
-            theta = _angles_from_cross(m_xa[:kx, :ka])
-            d2_xa[i, j] = subspace_distance(theta, metric) ** 2
-    d2_xy = np.array(
-        [subspace_distance(_angles_from_cross(m_xy[:kx, :]), metric) ** 2 for kx in kx_grid]
-    )
-    d2_ay = np.array(
-        [subspace_distance(_angles_from_cross(m_ay[:ka, :]), metric) ** 2 for ka in ka_grid]
-    )
+    label_dim = np.array([f])
+    d2_xa = _sq_distance_block_grid(m_xa, kx_grid, ka_grid, metric)
+    d2_xy = _sq_distance_block_grid(m_xy, kx_grid, label_dim, metric)[:, 0]
+    d2_ay = _sq_distance_block_grid(m_ay, ka_grid, label_dim, metric)[:, 0]
     return d2_xa, d2_xy, d2_ay
 
 
@@ -424,6 +458,14 @@ def optimize_dimensions(
     N-1, hence the full spectrum). The result matches redrawing and
     redecomposing every null in every round to 1e-10 relative in SAM and
     the distances, with the same k*, as the tests pin.
+
+    The chordal grid is a cumulative sum over the cross products of the
+    factors. The grassmann and projection grids take each cell's squared
+    cosines as the eigenvalues of the smaller Gram matrix of its cross
+    block, with no SVD per cell: projection reads the smallest eigenvalue
+    (1 - lambda_min is the squared distance), grassmann all of them
+    (theta = arccos(sqrt(lambda))). The distances and SAM at k* come from
+    :func:`distance_matrix` either way.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric: {metric!r}")

@@ -176,6 +176,23 @@ def test_negative_seed_is_usage_error(command, flag, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("align", "--nulls"),
+    ("align", "--grid-points"),
+    ("align", "--rounds"),
+    ("sweep", "--nulls"),
+    ("sweep", "--grid-points"),
+    ("sweep", "--rounds"),
+    ("sweep", "--realizations"),
+    ("sweep", "--workers"),
+])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_count_is_usage_error(command, flag, value, capsys):
+    assert cli([command, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer, got {value}" in err
+
+
 def test_help_exits_zero(capsys):
     assert cli(["-h"]) == 0
     assert "subspace" in capsys.readouterr().out.lower()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphalign import (
     METRICS,
@@ -300,29 +302,79 @@ def test_dimension_grid_floor_of_linspace():
         dimension_grid(1, 5, 0)
 
 
-def test_chordal_grid_fast_path_matches_direct():
-    """The cumulative-sum shortcut must agree with per-cell principal angles."""
+def _generic_grid_factors():
     rng = np.random.default_rng(23)
     n, c, f = 30, 12, 3
     u, _ = left_singular_factor(rng.random((n, c)))
     v = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
     y, _ = left_singular_factor(one_hot(np.arange(n) % f, f))
-    y = y[:, :f]
+    return u, v, y[:, :f]
+
+
+def _assert_grid_matches_direct(u, v, y, metric):
+    # Cells on both sides of the diagonal and one with k_x = k_a.
     kx_grid = np.array([3, 5, 9, 12])
     ka_grid = np.array([3, 7, 15])
-    d2_xa, d2_xy, d2_ay = _sq_distance_grids(u, v, y, kx_grid, ka_grid, "chordal")
+    d2_xa, d2_xy, d2_ay = _sq_distance_grids(u, v, y, kx_grid, ka_grid, metric)
     for i, kx in enumerate(kx_grid):
         bx = OrthonormalBasis(u[:, :kx])
-        direct_xy = subspace_distance(principal_angles(bx, OrthonormalBasis(y)), "chordal")
+        direct_xy = subspace_distance(principal_angles(bx, OrthonormalBasis(y)), metric)
         assert abs(np.sqrt(d2_xy[i]) - direct_xy) <= 1e-9
         for j, ka in enumerate(ka_grid):
             ba = OrthonormalBasis(v[:, :ka])
-            direct = subspace_distance(principal_angles(bx, ba), "chordal")
+            direct = subspace_distance(principal_angles(bx, ba), metric)
             assert abs(np.sqrt(d2_xa[i, j]) - direct) <= 1e-9
     for j, ka in enumerate(ka_grid):
         ba = OrthonormalBasis(v[:, :ka])
-        direct_ay = subspace_distance(principal_angles(ba, OrthonormalBasis(y)), "chordal")
+        direct_ay = subspace_distance(principal_angles(ba, OrthonormalBasis(y)), metric)
         assert abs(np.sqrt(d2_ay[j]) - direct_ay) <= 1e-9
+
+
+def test_chordal_grid_fast_path_matches_direct():
+    """The cumulative-sum shortcut must agree with per-cell principal angles."""
+    _assert_grid_matches_direct(*_generic_grid_factors(), "chordal")
+
+
+@pytest.mark.parametrize("metric", ["projection", "grassmann"])
+def test_nonchordal_grid_fast_path_matches_direct(metric):
+    """The Gram-eigenvalue grid must agree with per-cell principal angles."""
+    _assert_grid_matches_direct(*_generic_grid_factors(), metric)
+
+
+def test_nonchordal_grid_at_shared_and_orthogonal_directions():
+    """u and v share two directions and are orthogonal otherwise, so each
+    cell has two zero angles and min(k_x, k_a) - 2 right angles, and its
+    squared cosines sit at 1 and 0, where rounding steps outside [0, 1].
+    A cosine near 0 comes from its square, so grassmann resolves a right
+    angle only to about sqrt(n * eps)."""
+    rng = np.random.default_rng(29)
+    n, c = 30, 12
+    q = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
+    u, v = q[:, :c], np.hstack([q[:, :2], q[:, c:]])
+    y = random_basis(rng, n, 3).matrix
+    kx_grid, ka_grid = np.array([3, 5, 9, 12]), np.array([3, 7, 15])
+    right = np.minimum(kx_grid[:, None], ka_grid[None, :]) - 2
+    d2_projection = _sq_distance_grids(u, v, y, kx_grid, ka_grid, "projection")[0]
+    assert np.abs(d2_projection - 1.0).max() <= 1e-12
+    d2_grassmann = _sq_distance_grids(u, v, y, kx_grid, ka_grid, "grassmann")[0]
+    floor = right * np.pi * np.sqrt(n * np.finfo(np.float64).eps)
+    assert np.all(np.abs(d2_grassmann - right * (np.pi / 2) ** 2) <= floor)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_projection_grid_is_one_minus_smallest_gram_eigenvalue(data):
+    """1 - lambda_min of the smaller Gram block of a cross product is
+    sin^2 of the largest principal angle, for any prefix sizes."""
+    n = data.draw(st.integers(2, 24), label="n")
+    kx, ka, f = (data.draw(st.integers(1, n - 1), label=name) for name in ("kx", "ka", "f"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    bx, ba, by = (random_basis(rng, n, k) for k in (kx, ka, f))
+    d2_xa, d2_xy, d2_ay = _sq_distance_grids(
+        bx.matrix, ba.matrix, by.matrix, np.array([kx]), np.array([ka]), "projection"
+    )
+    for d2, (b1, b2) in ((d2_xa[0, 0], (bx, ba)), (d2_xy[0], (bx, by)), (d2_ay[0], (ba, by))):
+        assert abs(d2 - np.sin(principal_angles(b1, b2).angles.max()) ** 2) <= 1e-12
 
 
 def test_graph_subspace_tracks_communities(small_constructive):
@@ -386,9 +438,27 @@ def _reference_full_spectrum(a_hat):
     return v[:, np.argsort(-w, kind="stable")]
 
 
+def _reference_sam_grid(u, v, y, kx_grid, ka_grid, metric):
+    """The grid as the search computed it before Gram eigenvalues: for the
+    non-chordal metrics, one SVD of the cross block per cell."""
+    if metric == "chordal":
+        return _sam_grid(u, v, y, kx_grid, ka_grid, metric)
+
+    def sq_distance(cross):
+        theta = np.arccos(np.clip(scipy.linalg.svdvals(cross), 0.0, 1.0))
+        return subspace_distance(theta, metric) ** 2
+
+    m_xa = u[:, :kx_grid[-1]].T @ v[:, :ka_grid[-1]]
+    d2_xa = np.array([[sq_distance(m_xa[:kx, :ka]) for ka in ka_grid] for kx in kx_grid])
+    d2_xy = np.array([sq_distance(u[:, :kx].T @ y) for kx in kx_grid])
+    d2_ay = np.array([sq_distance(v[:, :ka].T @ y) for ka in ka_grid])
+    return np.sqrt(2.0 * (d2_xa + d2_xy[:, None] + d2_ay[None, :]))
+
+
 def _reference_search(dataset, metric, n_null, grid_points, rounds, seed):
     """The dimension search before nulls were cached: every round redraws
-    every null, runs its feature SVD and its full graph eigendecomposition."""
+    every null, runs its feature SVD and its full graph eigendecomposition,
+    and evaluates the grid cell by cell (:func:`_reference_sam_grid`)."""
     n, f = dataset.n_nodes, dataset.num_classes
     y_basis = groundtruth_basis(one_hot(dataset.labels, f))
     u_orig, _ = left_singular_factor(row_normalize_features(dataset.features))
@@ -396,13 +466,13 @@ def _reference_search(dataset, metric, n_null, grid_points, rounds, seed):
     kx_grid = dimension_grid(f, min(dataset.n_features, n - 1), grid_points)
     ka_grid = dimension_grid(f, n - 1, grid_points)
     for round_index in range(rounds):
-        objective = -_sam_grid(u_orig, v_orig, y_basis.matrix, kx_grid, ka_grid, metric)
+        objective = -_reference_sam_grid(u_orig, v_orig, y_basis.matrix, kx_grid, ka_grid, metric)
         for r in range(n_null):
             x_null = randomize_features(dataset.features, 100.0, derive_seed(seed, r, 0))
             a_null = randomize_graph(dataset.adjacency, 100.0, derive_seed(seed, r, 1))
             u_null, _ = left_singular_factor(row_normalize_features(x_null))
             v_null = _reference_full_spectrum(normalized_adjacency(a_null))
-            null_sam = _sam_grid(u_null, v_null, y_basis.matrix, kx_grid, ka_grid, metric)
+            null_sam = _reference_sam_grid(u_null, v_null, y_basis.matrix, kx_grid, ka_grid, metric)
             objective += null_sam / n_null
         ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
         kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
