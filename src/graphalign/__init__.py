@@ -11,7 +11,6 @@ from .datasets import (
     ConstructiveSpec,
     Dataset,
     DatasetFormatError,
-    apply_limiting_case,
     generate_constructive,
     largest_connected_component,
     load_dataset,
@@ -26,7 +25,6 @@ from .experiments import (
     correlate,
     pearson,
     read_rows,
-    run_sweep,
     run_sweep_multi,
     write_rows,
 )
@@ -44,7 +42,6 @@ from .models import (
     loss,
     propagation_operator,
     train,
-    train_sgc,
 )
 from .randomize import derive_seed, feature_permutation, randomize_features, randomize_graph
 from .subspaces import (
@@ -88,7 +85,6 @@ __all__ = [
     "TrainingDiverged",
     "VARIANTS",
     "alignment_at",
-    "apply_limiting_case",
     "build_split",
     "correlate",
     "derive_seed",
@@ -114,12 +110,10 @@ __all__ = [
     "randomize_graph",
     "read_rows",
     "row_normalize_features",
-    "run_sweep",
     "run_sweep_multi",
     "sam",
     "save_dataset",
     "subspace_distance",
     "train",
-    "train_sgc",
     "write_rows",
 ]

@@ -33,11 +33,11 @@ from .experiments import (
     _randomized_dataset,
     correlate,
     read_rows,
-    run_sweep,
+    run_sweep_multi,
     write_rows,
 )
 from .models import VARIANTS, GcnConfig, build_split, train
-from .subspaces import METRICS, alignment_at, optimize_dimensions
+from .subspaces import METRICS, AlignmentResult, alignment_at, optimize_dimensions
 
 __all__ = ["main", "cli"]
 
@@ -97,39 +97,48 @@ def _apply_config(argv: list[str]) -> list[str]:
     return argv
 
 
-def _parse_grid(text: str) -> tuple[int, ...]:
-    """`start:stop:step` (stop inclusive) or a comma-separated list."""
-    try:
-        if ":" in text:
-            start, stop, step = (int(t) for t in text.split(":"))
-            if step <= 0:
-                raise ValueError
-            return tuple(range(start, stop + 1, step))
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise CliUsageError(f"cannot parse grid {text!r} (use start:stop:step or a,b,c)") from None
-
-
-def _int_at_least(minimum: int, kind: str) -> Callable[[str], int]:
-    """Argument type: an integer of at least `minimum`, named `kind` in
-    the usage error."""
+def _int_at_least(minimum: int, kind: str, maximum: int | None = None) -> Callable[[str], int]:
+    """Argument type: an integer of at least `minimum` (and at most
+    `maximum`, if given), named `kind` in the usage error."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        if value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"must be a {kind}, got {value}")
         return value
 
     return parse
 
 
 # The seed and realization flags: the seed rule hashes them.
-_seed = _int_at_least(0, "nonnegative")
-# The count flags (rounds, nulls, grid points, realizations, workers).
-_positive = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "nonnegative integer")
+# The count and size flags (rounds, nulls, realizations, nodes, epochs, ...).
+_positive = _int_at_least(1, "positive integer")
+# Degradation percents, as on a sweep grid.
+_percent = _int_at_least(0, "percent in [0, 100]", maximum=100)
+
+
+def _parse_grid(text: str) -> tuple[int, ...]:
+    """Argument type of --grid: `start:stop:step` (stop inclusive) or a
+    comma-separated list of percents."""
+    try:
+        if ":" in text:
+            start, stop, step = (int(t) for t in text.split(":"))
+            if step <= 0:
+                raise ValueError
+            grid = tuple(range(start, stop + 1, step))
+        else:
+            grid = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse grid {text!r} (use start:stop:step or a,b,c)") from None
+    if not grid or not all(0 <= p <= 100 for p in grid):
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} must list one or more percents in [0, 100]")
+    return grid
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -188,16 +197,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _optimize(ds: Dataset, args: argparse.Namespace) -> AlignmentResult:
+    """The dimension search configured by the align and sweep flags."""
+    return optimize_dimensions(ds, metric=args.metric, n_null=args.nulls,
+                               grid_points=args.grid_points, rounds=args.rounds,
+                               seed=args.align_seed)
+
+
 def _cmd_align(args: argparse.Namespace) -> int:
     name, ds = _resolve_dataset(args)
-    result = optimize_dimensions(
-        ds,
-        metric=args.metric,
-        n_null=args.nulls,
-        grid_points=args.grid_points,
-        rounds=args.rounds,
-        seed=args.align_seed,
-    )
+    result = _optimize(ds, args)
     _emit({"dataset": name, **result.to_dict()}, args.out)
     return 0
 
@@ -249,24 +258,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.kx is not None:
         dims = alignment_at(ds, args.kx, args.ka, metric=args.metric)
     else:
-        dims = optimize_dimensions(
-            ds,
-            metric=args.metric,
-            n_null=args.nulls,
-            grid_points=args.grid_points,
-            rounds=args.rounds,
-            seed=args.align_seed,
-        )
+        dims = _optimize(ds, args)
     spec = SweepSpec(
         dataset=ds,
         name=name,
         axis=args.axis,
-        percents=_parse_grid(args.grid),
+        percents=args.grid,
         realizations=args.realizations,
         variants=tuple(args.variants.split(",")),
         base_seed=args.base_seed,
     )
-    rows = run_sweep(spec, dims, metric=args.metric, workers=args.workers)
+    rows = run_sweep_multi(spec, dims, metrics=(args.metric,), workers=args.workers)[args.metric]
     write_rows(args.out if args.out else sys.stdout, rows)
     return 0
 
@@ -286,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write the planted-community benchmark to files")
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--communities", type=int, default=10)
-    p.add_argument("--features-per-community", type=int, default=50)
+    p.add_argument("--nodes", type=_positive, default=1000)
+    p.add_argument("--communities", type=_positive, default=10)
+    p.add_argument("--features-per-community", type=_positive, default=50)
     p.add_argument("--p-in", type=float, default=0.07)
     p.add_argument("--p-out", type=float, default=0.007)
     p.add_argument("--seed", type=_seed, default=0)
@@ -310,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("randomize", help="emit a randomized copy of a dataset")
     _add_dataset_args(p)
     p.add_argument("--axis", choices=AXES, default="both")
-    p.add_argument("--percent", type=int, required=True, help="integer percent, as on a sweep grid")
+    p.add_argument("--percent", type=_percent, required=True,
+                   help="integer percent, as on a sweep grid")
     p.add_argument("--rand-seed", type=_seed, default=0, help="the sweep's --base-seed")
     p.add_argument("--realization", type=_seed, default=0,
                    help="realization index; reproduces the sweep rows with this index")
@@ -321,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model variant, report JSON")
     _add_dataset_args(p)
     p.add_argument("--variant", choices=VARIANTS, default="gcn")
-    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--hidden", type=_positive, default=16)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--dropout", type=float, default=0.5)
     p.add_argument("--l2", type=float, default=5e-4)
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--patience", type=int, default=100)
+    p.add_argument("--epochs", type=_positive, default=400)
+    p.add_argument("--patience", type=_positive, default=100)
     p.add_argument("--train-seed", type=_seed, default=0)
     p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -335,13 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="randomization sweep to CSV")
     _add_dataset_args(p)
     p.add_argument("--axis", choices=AXES, default="both")
-    p.add_argument("--grid", default="0:100:10", help="start:stop:step (stop inclusive) or a,b,c")
+    p.add_argument("--grid", type=_parse_grid, default="0:100:10",
+                   help="start:stop:step (stop inclusive) or a,b,c")
     p.add_argument("--realizations", type=_positive, default=100)
     p.add_argument("--variants", default="gcn", help="comma-separated model variants")
     p.add_argument("--metric", choices=METRICS, default="chordal")
     p.add_argument("--base-seed", type=_seed, default=0)
-    p.add_argument("--kx", type=int, help="fix the feature dimension (skips optimization)")
-    p.add_argument("--ka", type=int, help="fix the graph dimension (skips optimization)")
+    p.add_argument("--kx", type=_positive, help="fix the feature dimension (skips optimization)")
+    p.add_argument("--ka", type=_positive, help="fix the graph dimension (skips optimization)")
     p.add_argument("--nulls", type=_positive, default=100)
     p.add_argument("--grid-points", type=_positive, default=10)
     p.add_argument("--rounds", type=_positive, default=2)

@@ -9,8 +9,7 @@ model training) consumes it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -28,11 +27,7 @@ __all__ = [
     "generate_constructive",
     "row_normalize_features",
     "one_hot",
-    "apply_limiting_case",
-    "LIMITING_CASES",
 ]
-
-LIMITING_CASES = ("no_graph", "complete_graph", "no_features")
 
 
 class DatasetFormatError(ValueError):
@@ -110,6 +105,10 @@ class ConstructiveSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_communities < 2 or self.features_per_community < 1:
+            raise ValueError("need at least 2 communities and 1 feature per community")
+        if self.n_nodes < self.n_communities:
+            raise ValueError("need at least one node per community")
         if self.n_nodes % self.n_communities:
             raise ValueError("n_nodes must be divisible by n_communities")
         if self.features_per_community * self.n_communities != self.n_features:
@@ -317,14 +316,6 @@ def generate_constructive(spec: ConstructiveSpec) -> Dataset:
     )
 
 
-def expected_constructive_edges(spec: ConstructiveSpec) -> tuple[float, float]:
-    """Expected (intra, inter) community edge counts for a generator spec."""
-    n, k = spec.n_nodes, spec.n_communities
-    within_pairs = k * math.comb(n // k, 2)
-    across_pairs = math.comb(n, 2) - within_pairs
-    return spec.p_in * within_pairs, spec.p_out * across_pairs
-
-
 def row_normalize_features(features: np.ndarray) -> np.ndarray:
     """Scale each row to sum to 1; all-zero rows stay zero."""
     x = np.asarray(features, dtype=np.float64)
@@ -341,23 +332,3 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     y = np.zeros((labels.shape[0], num_classes))
     y[np.arange(labels.shape[0]), labels] = 1.0
     return y
-
-
-def apply_limiting_case(dataset: Dataset, case: str) -> Dataset:
-    """Return a copy of the dataset under one of the limiting cases.
-
-    no_graph:       A = 0 (the normalized operator becomes the identity)
-    complete_graph: A = all-ones minus the diagonal
-    no_features:    X = I_N (feature dimension becomes N)
-
-    The input is never mutated and labels are preserved.
-    """
-    n = dataset.n_nodes
-    if case == "no_graph":
-        return replace(dataset, adjacency=sp.csr_matrix((n, n)))
-    if case == "complete_graph":
-        full = np.ones((n, n)) - np.eye(n)
-        return replace(dataset, adjacency=sp.csr_matrix(full))
-    if case == "no_features":
-        return replace(dataset, features=np.eye(n))
-    raise ValueError(f"unknown limiting case: {case!r} (expected one of {LIMITING_CASES})")

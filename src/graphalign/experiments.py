@@ -39,7 +39,6 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "CorrelationResult",
-    "run_sweep",
     "run_sweep_multi",
     "pearson",
     "correlate",
@@ -203,6 +202,8 @@ def run_sweep_multi(
     unknown = set(metrics) - set(METRICS)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
+    if workers < 1:
+        raise ValueError("need at least one worker")
     split = build_split(spec.dataset.labels, seed=spec.base_seed)
     # One decomposition of the original features serves every cell that
     # keeps them. A cell with permuted feature rows P decomposes its own:
@@ -230,16 +231,6 @@ def run_sweep_multi(
         for metric in metrics:
             rows[metric].extend(cell[metric])
     return rows
-
-
-def run_sweep(
-    spec: SweepSpec,
-    dims: AlignmentResult,
-    metric: str = "chordal",
-    workers: int = 1,
-) -> list[SweepRow]:
-    """Sweep under a single distance metric (see :func:`run_sweep_multi`)."""
-    return run_sweep_multi(spec, dims, metrics=(metric,), workers=workers)[metric]
 
 
 def pearson(xs, ys) -> float:

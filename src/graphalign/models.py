@@ -19,9 +19,9 @@ training nodes (the loss), the validation pass the validation nodes
 output layer then uses P restricted to those rows, P_S = P[S], and the
 backward pass P_S and its transpose. The first layer relu(P X W0) stays
 full-size: the output rows read it on their 1-hop neighbourhood, which
-for the training and validation nodes of the benchmark graph covers 890
-of its 1000 nodes, and a full-size first layer draws every dropout mask
-at full size, so the random stream does not depend on the rows. The
+for the training and validation nodes covers most of a graph like the
+benchmark's, and a full-size first layer draws every dropout mask at
+full size, so the random stream does not depend on the rows. The
 simplified variant slices its propagated features P^K X once per split
 part.
 """
@@ -50,12 +50,14 @@ __all__ = [
     "loss",
     "gradients",
     "train",
-    "train_sgc",
     "MeanFieldPropagation",
     "propagation_operator",
 ]
 
 VARIANTS = ("gcn", "no_graph", "no_features", "complete_graph", "sgc")
+
+# Propagation steps K of the simplified variant.
+_SGC_DEGREE = 2
 
 # Features sparser than this are stored as CSR during training.
 _SPARSE_DENSITY_CUTOFF = 0.25
@@ -238,24 +240,10 @@ def _forward_pass(w0: np.ndarray, w1: np.ndarray, a_hat, a_rows, x, dropout: flo
     return z, (x_in, s1, h_in, h_scale)
 
 
-def forward(
-    model: GcnModel,
-    a_hat,
-    x,
-    dropout_on: bool = False,
-    dropout: float = 0.5,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Class probabilities, one row per node, each summing to one.
-
-    With `dropout_on`, inverted dropout is applied to the inputs of both
-    layers (so expectations match evaluation mode); an `rng` is then
-    required.
-    """
-    if dropout_on and rng is None:
-        raise ValueError("dropout_on requires an rng")
-    z, _ = _forward_pass(model.w0, model.w1, a_hat, a_hat, x, dropout,
-                         rng if dropout_on else None)
+def forward(model: GcnModel, a_hat, x) -> np.ndarray:
+    """Class probabilities in evaluation mode, one row per node, each
+    summing to one."""
+    z, _ = _forward_pass(model.w0, model.w1, a_hat, a_hat, x, 0.0, None)
     return z
 
 
@@ -521,16 +509,15 @@ def _gcn_model(dataset: Dataset, variant: str, config: GcnConfig,
     return (x.shape[1], config.hidden_units, dataset.num_classes), forward_fn, backward_fn
 
 
-def _sgc_model(dataset: Dataset, degree: int, config: GcnConfig,
+def _sgc_model(dataset: Dataset, config: GcnConfig,
                rows: dict[str, np.ndarray]) -> tuple[tuple[int, ...], Callable, Callable]:
     """Layer widths, forward and backward pass of the simplified variant,
     for :func:`_fit`. P^K X is computed once and sliced once per split
     part."""
     a_hat = propagation_operator(dataset, "sgc")
     s = row_normalize_features(dataset.features)
-    for _ in range(degree):
+    for _ in range(_SGC_DEGREE):
         s = a_hat @ s
-    s = np.asarray(s)
     s_rows = {part: s[idx] for part, idx in rows.items()}
 
     def forward_fn(weights, part, rng):
@@ -555,36 +542,18 @@ def train(
     published protocol; weights start Glorot-uniform, features are
     row-normalized, and training stops early once the validation loss has
     not improved for `patience` consecutive epochs (the final-epoch model
-    is evaluated, dropout off). Raises :class:`TrainingDiverged` on a
+    is evaluated, dropout off). The simplified variant ``"sgc"`` fits a
+    single linear softmax layer to P^K X, K = 2, without dropout (there is
+    no hidden layer to regularize). Raises :class:`TrainingDiverged` on a
     non-finite loss.
     """
-    if variant == "sgc":
-        return train_sgc(dataset, config=config, split=split)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
     if split is None:
         split = build_split(dataset.labels, seed=0)
     rows = _split_rows(split)
-    return _fit(variant, *_gcn_model(dataset, variant, config, rows), dataset, config, rows)
-
-
-def train_sgc(
-    dataset: Dataset,
-    degree: int = 2,
-    config: GcnConfig = GcnConfig(),
-    split: SplitSpec | None = None,
-) -> TrainReport:
-    """Train the simplified variant: degree-fold propagation, one layer.
-
-    The propagated features P^K X are computed once; a single linear
-    softmax layer is then fit with the same objective, split and early
-    stopping as :func:`train` (no dropout: there is no hidden layer to
-    regularize). degree=0 reduces to multinomial logistic regression on
-    the raw features.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if split is None:
-        split = build_split(dataset.labels, seed=0)
-    rows = _split_rows(split)
-    return _fit("sgc", *_sgc_model(dataset, degree, config, rows), dataset, config, rows)
+    if variant == "sgc":
+        model = _sgc_model(dataset, config, rows)
+    else:
+        model = _gcn_model(dataset, variant, config, rows)
+    return _fit(variant, *model, dataset, config, rows)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .datasets import _edges_to_adjacency
+
 __all__ = [
     "randomize_graph",
     "randomize_features",
@@ -44,8 +46,6 @@ def rewire_stubs(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     degree from `edges`, so the pre-cleanup degree sequence is preserved.
     The result may contain self-loops and parallel edges.
     """
-    if len(edges) == 0:
-        return edges.reshape(0, 2)
     stubs = edges.reshape(-1)
     shuffled = stubs[rng.permutation(stubs.shape[0])]
     return shuffled.reshape(-1, 2)
@@ -74,24 +74,10 @@ def randomize_graph(adjacency: sp.spmatrix, p_graph: float, seed: int) -> sp.csr
     keep_mask[chosen] = False
     rewired = rewire_stubs(edges[chosen], rng)
 
-    final: set[tuple[int, int]] = set()
-    for u, v in edges[keep_mask]:
-        final.add((int(u), int(v)))
-    for u, v in rewired:
-        if u == v:
-            continue  # self-loop from the pairing: dropped in cleanup
-        final.add((min(int(u), int(v)), max(int(u), int(v))))
-
-    n = adjacency.shape[0]
-    if not final:
-        return sp.csr_matrix((n, n))
-    idx = np.array(sorted(final), dtype=np.int64)
-    data = np.ones(len(idx))
-    a = sp.coo_matrix((data, (idx[:, 0], idx[:, 1])), shape=(n, n))
-    a = a + a.T
-    a = a.tocsr()
-    a.data[:] = 1.0
-    return a
+    # The set drops parallel edges; self-loops from the pairing are skipped.
+    final = {(int(u), int(v)) for u, v in edges[keep_mask]}
+    final.update((int(min(u, v)), int(max(u, v))) for u, v in rewired if u != v)
+    return _edges_to_adjacency(adjacency.shape[0], final)
 
 
 def feature_permutation(n_rows: int, p_features: float, seed: int) -> np.ndarray:

@@ -185,8 +185,7 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
     k = n-1 the subset is the whole spectrum, which :func:`graph_spectrum`
     solves faster. Columns are sorted by decreasing eigenvalue and
     sign-fixed like the full spectrum's; away from a tie their span is
-    the full-spectrum prefix to rounding (largest principal angle within
-    1e-12 in the tests).
+    the full-spectrum prefix to rounding.
     """
     n = a_hat.shape[0]
     if not 1 <= k < n:
@@ -456,8 +455,8 @@ def optimize_dimensions(
     SVD. Each round solves, per null, only the top `ka_grid[-1]` graph
     eigenpairs through :func:`graph_basis` (the first round's grid reaches
     N-1, hence the full spectrum). The result matches redrawing and
-    redecomposing every null in every round to 1e-10 relative in SAM and
-    the distances, with the same k*, as the tests pin.
+    redecomposing every null in every round to rounding in SAM and the
+    distances.
 
     The chordal grid is a cumulative sum over the cross products of the
     factors. The grassmann and projection grids take each cell's squared
@@ -471,6 +470,8 @@ def optimize_dimensions(
         raise ValueError(f"unknown metric: {metric!r}")
     if n_null < 1:
         raise ValueError("need at least one null realization")
+    if rounds < 1:
+        raise ValueError("need at least one round")
     n, f = dataset.n_nodes, dataset.num_classes
     kx_hi = min(dataset.n_features, n - 1)
     ka_hi = n - 1
@@ -483,9 +484,8 @@ def optimize_dimensions(
 
     kx_grid = dimension_grid(f, kx_hi, grid_points)
     ka_grid = dimension_grid(f, ka_hi, grid_points)
-    n_rounds = max(1, rounds)
     kx_best = ka_best = f
-    for round_index in range(n_rounds):
+    for round_index in range(rounds):
         objective = -_sam_grid(u_orig, v_orig, y_basis.matrix, kx_grid, ka_grid, metric)
         for perm, a_hat_null in nulls:
             v_null = graph_basis(a_hat_null, int(ka_grid[-1])).matrix
@@ -494,7 +494,7 @@ def optimize_dimensions(
             )
         ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
         kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
-        if round_index + 1 < n_rounds:
+        if round_index + 1 < rounds:
             # Next round re-grids the interval between the argmax's neighbors,
             # clipped to the current grid at the boundaries.
             kx_grid = dimension_grid(

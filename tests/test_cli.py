@@ -148,12 +148,24 @@ def test_correlate_degenerate_input_fails(tmp_path, capsys):
     assert "variance" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli(["sweep", "--no-such-flag"]) == 2
     assert cli(["unknown-command"]) == 2
     assert cli([]) == 2
     assert cli(["train", "--dataset", "files"]) == 2  # missing --edges/--features
-    capsys.readouterr()
+    outputs = ["--out-edges", str(tmp_path / "e"), "--out-features", str(tmp_path / "f")]
+    for argv, message in [
+        (["randomize", "--percent", "150", "--axis", "graph", *outputs],
+         "argument --percent: must be a percent in [0, 100], got 150"),
+        (["randomize", "--percent", "-5", "--axis", "features", *outputs],
+         "argument --percent: must be a percent in [0, 100], got -5"),
+        (["sweep", "--grid", "0:150:50"],
+         "argument --grid: grid '0:150:50' must list one or more percents in [0, 100]"),
+    ]:
+        capsys.readouterr()
+        assert cli(argv) == 2
+        assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -185,6 +197,14 @@ def test_negative_seed_is_usage_error(command, flag, tmp_path, capsys):
     ("sweep", "--rounds"),
     ("sweep", "--realizations"),
     ("sweep", "--workers"),
+    ("sweep", "--kx"),
+    ("sweep", "--ka"),
+    ("generate", "--nodes"),
+    ("generate", "--communities"),
+    ("generate", "--features-per-community"),
+    ("train", "--hidden"),
+    ("train", "--epochs"),
+    ("train", "--patience"),
 ])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_nonpositive_count_is_usage_error(command, flag, value, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,15 +8,17 @@ from graphalign import (
     ConstructiveSpec,
     Dataset,
     DatasetFormatError,
-    apply_limiting_case,
+    MeanFieldPropagation,
     generate_constructive,
     largest_connected_component,
     load_dataset,
+    normalized_adjacency,
     one_hot,
+    propagation_operator,
     row_normalize_features,
     save_dataset,
 )
-from graphalign.datasets import expected_constructive_edges
+from graphalign.models import _model_features
 
 from conftest import make_dataset
 
@@ -144,6 +148,14 @@ def test_generate_constructive_structure():
     assert (other.adjacency != ds.adjacency).nnz != 0
 
 
+def expected_constructive_edges(spec: ConstructiveSpec) -> tuple[float, float]:
+    """Expected (intra, inter) community edge counts for a generator spec."""
+    n, k = spec.n_nodes, spec.n_communities
+    within_pairs = k * math.comb(n // k, 2)
+    across_pairs = math.comb(n, 2) - within_pairs
+    return spec.p_in * within_pairs, spec.p_out * across_pairs
+
+
 def test_constructive_edge_count_matches_expectation(constructive):
     intra, inter = expected_constructive_edges(ConstructiveSpec())
     assert abs(constructive.n_edges - (intra + inter)) < 240
@@ -165,6 +177,12 @@ def test_spec_invariants():
         ConstructiveSpec(n_features=499)
     with pytest.raises(ValueError):
         ConstructiveSpec(p_in=0.01, p_out=0.5)
+    # Degenerate sizes: no or one community, no features, fewer nodes than communities.
+    for sizes in ({"n_communities": 0, "n_features": 0}, {"n_communities": 1, "n_features": 50},
+                  {"features_per_community": 0, "n_features": 0}, {"n_nodes": 0},
+                  {"n_nodes": 5}):
+        with pytest.raises(ValueError):
+            ConstructiveSpec(**sizes)
 
 
 def test_row_normalize():
@@ -184,15 +202,16 @@ def test_one_hot():
 
 
 def test_limiting_cases(tiny_dataset):
+    """The limiting-case variants propagate with the normalized adjacency
+    of the limiting graphs (no edges; every pair of distinct nodes joined)
+    and the no-features variant sees the identity as its features."""
     n = tiny_dataset.n_nodes
-    no_g = apply_limiting_case(tiny_dataset, "no_graph")
-    assert no_g.adjacency.nnz == 0
-    comp = apply_limiting_case(tiny_dataset, "complete_graph")
-    assert np.array_equal(comp.adjacency.toarray(), np.ones((n, n)) - np.eye(n))
-    no_f = apply_limiting_case(tiny_dataset, "no_features")
-    assert np.array_equal(no_f.features, np.eye(n))
-    # original untouched, labels preserved
-    assert tiny_dataset.adjacency.nnz > 0
-    assert np.array_equal(no_g.labels, tiny_dataset.labels)
-    with pytest.raises(ValueError):
-        apply_limiting_case(tiny_dataset, "bogus")
+    empty = normalized_adjacency(sp.csr_matrix((n, n)))
+    no_graph = propagation_operator(tiny_dataset, "no_graph")
+    assert np.array_equal(no_graph.toarray(), empty.toarray())
+    assert isinstance(propagation_operator(tiny_dataset, "complete_graph"), MeanFieldPropagation)
+    complete = normalized_adjacency(np.ones((n, n)) - np.eye(n)).toarray()
+    m = np.random.default_rng(0).standard_normal((n, 3))
+    assert np.abs(MeanFieldPropagation(n) @ m - complete @ m).max() <= 1e-14
+    no_features = _model_features(tiny_dataset, "no_features")
+    assert np.array_equal(no_features.toarray(), np.eye(n))

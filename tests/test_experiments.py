@@ -15,7 +15,6 @@ from graphalign import (
     generate_constructive,
     pearson,
     read_rows,
-    run_sweep,
     run_sweep_multi,
     write_rows,
 )
@@ -53,7 +52,7 @@ def synth_row(dataset="d", variant="m", percent=0, realization=0,
 def test_sweep_row_cardinality_and_fields(sweep_dataset):
     dims = alignment_at(sweep_dataset, 5, 4)
     spec = quick_spec(sweep_dataset, variants=("gcn", "sgc"))
-    rows = run_sweep(spec, dims)
+    rows = run_sweep_multi(spec, dims)["chordal"]
     assert len(rows) == 3 * 2 * 2
     assert sorted({r.percent for r in rows}) == [0, 50, 100]
     assert sorted({r.realization for r in rows}) == [0, 1]
@@ -68,7 +67,7 @@ def test_sweep_p0_matches_unrandomized_alignment(sweep_dataset):
     """Percent zero leaves the dataset alone, so the sweep's alignment
     numbers must equal a direct evaluation at the same dimensions."""
     dims = alignment_at(sweep_dataset, 5, 4)
-    rows = run_sweep(quick_spec(sweep_dataset), dims)
+    rows = run_sweep_multi(quick_spec(sweep_dataset), dims)["chordal"]
     at_zero = [r for r in rows if r.percent == 0]
     assert at_zero
     for row in at_zero:
@@ -81,7 +80,7 @@ def test_sweep_p0_matches_unrandomized_alignment(sweep_dataset):
 def test_sweep_deterministic(sweep_dataset):
     dims = alignment_at(sweep_dataset, 5, 4)
     spec = quick_spec(sweep_dataset)
-    assert run_sweep(spec, dims) == run_sweep(spec, dims)
+    assert run_sweep_multi(spec, dims) == run_sweep_multi(spec, dims)
 
 
 def test_multi_metric_sweep_shares_trainings(sweep_dataset):
@@ -116,9 +115,16 @@ def test_cell_alignment_equals_alignment_at_on_its_realization(sweep_dataset, ax
 def test_sweep_workers_match_serial(sweep_dataset):
     dims = alignment_at(sweep_dataset, 5, 4)
     spec = quick_spec(sweep_dataset, realizations=1)
-    serial = run_sweep(spec, dims, workers=1)
-    parallel = run_sweep(spec, dims, workers=2)
+    serial = run_sweep_multi(spec, dims, workers=1)
+    parallel = run_sweep_multi(spec, dims, workers=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_nonpositive_workers(sweep_dataset, workers):
+    with pytest.raises(ValueError, match="worker"):
+        run_sweep_multi(quick_spec(sweep_dataset), alignment_at(sweep_dataset, 5, 4),
+                        workers=workers)
 
 
 def test_sweep_spec_validation(sweep_dataset):
@@ -133,8 +139,8 @@ def test_sweep_spec_validation(sweep_dataset):
     with pytest.raises(ValueError, match="variant"):
         quick_spec(sweep_dataset, variants=("gcn", "gat"))
     with pytest.raises(ValueError, match="metrics"):
-        run_sweep(quick_spec(sweep_dataset), alignment_at(sweep_dataset, 5, 4),
-                  metric="euclidean")
+        run_sweep_multi(quick_spec(sweep_dataset), alignment_at(sweep_dataset, 5, 4),
+                        metrics=("euclidean",))
 
 
 def test_pearson_exact_lines():

@@ -424,6 +424,16 @@ def test_optimize_dimensions_discriminates_from_null(small_constructive):
     assert worse >= 4
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"rounds": 0}, "round"),
+    ({"rounds": -1}, "round"),
+    ({"n_null": 0}, "null"),
+])
+def test_optimize_dimensions_rejects_nonpositive_counts(small_constructive, counts, message):
+    with pytest.raises(ValueError, match=message):
+        optimize_dimensions(small_constructive, **counts)
+
+
 def test_optimize_dimensions_deterministic(small_constructive):
     r1 = optimize_dimensions(small_constructive, n_null=3, seed=5)
     r2 = optimize_dimensions(small_constructive, n_null=3, seed=5)
