@@ -141,6 +141,14 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
+def _parse_variants(text: str) -> tuple[str, ...]:
+    """Argument type of --variants: a comma-separated list of model variants."""
+    unknown = sorted(set(text.split(",")) - set(VARIANTS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown variants {unknown} (choose from {VARIANTS})")
+    return tuple(text.split(","))
+
+
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("dataset")
     group.add_argument("--dataset", choices=("constructive", "files"), default="constructive",
@@ -265,7 +273,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axis=args.axis,
         percents=args.grid,
         realizations=args.realizations,
-        variants=tuple(args.variants.split(",")),
+        variants=args.variants,
         base_seed=args.base_seed,
     )
     rows = run_sweep_multi(spec, dims, metrics=(args.metric,), workers=args.workers)[args.metric]
@@ -341,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid, default="0:100:10",
                    help="start:stop:step (stop inclusive) or a,b,c")
     p.add_argument("--realizations", type=_positive, default=100)
-    p.add_argument("--variants", default="gcn", help="comma-separated model variants")
+    p.add_argument("--variants", type=_parse_variants, default="gcn",
+                   help="comma-separated model variants")
     p.add_argument("--metric", choices=METRICS, default="chordal")
     p.add_argument("--base-seed", type=_seed, default=0)
     p.add_argument("--kx", type=_positive, help="fix the feature dimension (skips optimization)")

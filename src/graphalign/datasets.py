@@ -117,16 +117,12 @@ class ConstructiveSpec:
             raise ValueError("need 0 <= p_out <= p_in <= 1")
 
 
-def _edges_to_adjacency(n: int, edges: set[tuple[int, int]]) -> sp.csr_matrix:
-    """Build a symmetric 0/1 CSR matrix from a set of (i < j) index pairs."""
-    if not edges:
+def _edges_to_adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
+    """Symmetric 0/1 CSR matrix from an (m, 2) array of distinct i < j pairs."""
+    if len(edges) == 0:
         return sp.csr_matrix((n, n))
-    rows = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    cols = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-    data = np.ones(len(edges))
-    a = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    a = a + a.T
-    a = a.tocsr()
+    a = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    a = (a + a.T).tocsr()
     a.data[:] = 1.0
     return a
 
@@ -232,7 +228,7 @@ def load_dataset(edges_path: str | Path, features_path: str | Path,
     if len(set(ids)) != len(ids):
         raise DatasetFormatError(f"{features_path}: duplicate node ids")
     index = {node: i for i, node in enumerate(ids)}
-    edges = _read_edge_list(edges_path, index)
+    edges = np.array(sorted(_read_edge_list(edges_path, index)), dtype=np.int64).reshape(-1, 2)
     d = Dataset(
         node_ids=ids,
         features=features,

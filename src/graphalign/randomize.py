@@ -74,10 +74,12 @@ def randomize_graph(adjacency: sp.spmatrix, p_graph: float, seed: int) -> sp.csr
     keep_mask[chosen] = False
     rewired = rewire_stubs(edges[chosen], rng)
 
-    # The set drops parallel edges; self-loops from the pairing are skipped.
-    final = {(int(u), int(v)) for u, v in edges[keep_mask]}
-    final.update((int(min(u, v)), int(max(u, v))) for u, v in rewired if u != v)
-    return _edges_to_adjacency(adjacency.shape[0], final)
+    # Drop the pairing's self-loops, then parallel edges by unique i * n + j keys.
+    rewired = np.sort(rewired[rewired[:, 0] != rewired[:, 1]], axis=1)
+    n = adjacency.shape[0]
+    pairs = np.concatenate([edges[keep_mask], rewired])
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return _edges_to_adjacency(n, np.column_stack(np.divmod(keys, n)))
 
 
 def feature_permutation(n_rows: int, p_features: float, seed: int) -> np.ndarray:

@@ -163,8 +163,8 @@ def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndar
     order (stable sort), and each eigenvector's largest-magnitude entry
     is made positive, so the output is deterministic even for degenerate
     spectra. :func:`optimize_dimensions` calls it once per search for the
-    original graph; a null reaches it through :func:`graph_basis` only in
-    a round whose grid needs all eigenpairs (the first).
+    original graph; a null reaches it through :func:`graph_basis` where
+    the search needs all its eigenpairs (chordal table, first round).
     """
     if sp.issparse(a_hat):
         a_hat = a_hat.toarray()
@@ -228,17 +228,26 @@ def groundtruth_basis(y: np.ndarray, k: int | None = None) -> OrthonormalBasis:
 def principal_angles(b1: OrthonormalBasis, b2: OrthonormalBasis) -> PrincipalAngles:
     """Canonical angles between two subspaces, sorted nondecreasing.
 
-    Delegates to scipy.linalg.subspace_angles, which pairs the cosine
-    SVD of B1^T B2 with a sine-based formulation for the small angles,
-    so nearly identical subspaces come out at machine precision instead
-    of the sqrt(eps) floor a plain arccos would give. Returns
-    min(k1, k2) angles.
+    The columns are assumed orthonormal and are not re-orthonormalized.
+    Cosines are the singular values of B1^T B2 (Bjorck & Golub, 1973);
+    where cos^2 >= 1/2 the angle comes from its sine, a singular value of
+    the residual of the smaller basis after projecting out the other, so
+    small angles reach machine precision instead of arccos's sqrt(eps)
+    floor (Knyazev & Argentati, 2002). Returns min(k1, k2) angles.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ValueError(
             f"ambient dimension mismatch: {b1.ambient_dim} vs {b2.ambient_dim}"
         )
-    angles = scipy.linalg.subspace_angles(b1.matrix, b2.matrix)
+    a, b = b1.matrix, b2.matrix
+    cross = a.T @ b
+    cosines = scipy.linalg.svdvals(cross)  # descending: angles ascending
+    angles = np.arccos(np.clip(cosines, 0.0, 1.0))
+    small = cosines**2 >= 0.5
+    if small.any():
+        residual = b - a @ cross if b1.dim >= b2.dim else a - b @ cross.T
+        sines = scipy.linalg.svdvals(residual)[::-1]  # ascending, like the angles
+        angles = np.where(small, np.arcsin(np.clip(sines, 0.0, 1.0)), angles)
     return PrincipalAngles(np.sort(angles))
 
 
@@ -351,6 +360,23 @@ def _sq_distance_block_grid(
     return d2
 
 
+def _chordal_tables(u: np.ndarray, v: np.ndarray, y: np.ndarray, kx_max: int, ka_max: int):
+    """Squared chordal distances d2_xa[k_x - 1, k_a - 1], d2_xy[k_x - 1]
+    and d2_ay[k_a - 1] at every integer k_x <= kx_max, k_a <= ka_max,
+    built in place in the buffer of the cross product."""
+    f = y.shape[1]
+    d2_xa = u[:, :kx_max].T @ v[:, :ka_max]
+    np.square(d2_xa, out=d2_xa)
+    np.cumsum(d2_xa, axis=0, out=d2_xa)
+    np.cumsum(d2_xa, axis=1, out=d2_xa)
+    alpha = np.minimum.outer(np.arange(1.0, kx_max + 1), np.arange(1.0, ka_max + 1))
+    np.subtract(alpha, d2_xa, out=d2_xa)
+    np.clip(d2_xa, 0.0, None, out=d2_xa)
+    d2_xy = np.clip(f - np.cumsum(((u[:, :kx_max].T @ y) ** 2).sum(axis=1)), 0.0, None)
+    d2_ay = np.clip(f - np.cumsum(((v[:, :ka_max].T @ y) ** 2).sum(axis=1)), 0.0, None)
+    return d2_xa, d2_xy, d2_ay
+
+
 def _sq_distance_grids(
     u: np.ndarray,
     v: np.ndarray,
@@ -366,38 +392,27 @@ def _sq_distance_grids(
     submatrix of the full cross-product and all cells share three matrix
     products. For the chordal metric the squared distance
     sum_j sin^2(theta_j) = alpha - ||cross||_F^2 falls out of cumulative
-    sums without any per-cell SVD. For the other metrics, the cosines of
-    the angles are the singular values of the cross block (Bjorck & Golub,
-    1973), so their squares are the eigenvalues of the block's Gram
-    matrix, and a cell costs one symmetric eigenvalue solve of size
-    min(k_x, k_a) instead of an SVD. Projection reads only the smallest
-    eigenvalue, sin^2(theta_max) = 1 - lambda_min, without an arccos;
-    grassmann reads them all, theta = arccos(sqrt(lambda)) with lambda
-    clipped to [0, 1]. A cosine near 0 comes from its square, so grassmann
-    resolves an angle near pi/2 only to about sqrt(eps); the grid only
-    ranks cells, and the reported distances come from
+    sums without any per-cell SVD (:func:`_chordal_tables`). For the
+    other metrics, the cosines of the angles are the singular values of
+    the cross block (Bjorck & Golub, 1973), so their squares are the
+    eigenvalues of the block's Gram matrix, and a cell costs one symmetric
+    eigenvalue solve of size min(k_x, k_a) instead of an SVD. Projection
+    reads only the smallest eigenvalue, sin^2(theta_max) = 1 - lambda_min,
+    without an arccos; grassmann reads them all, theta = arccos(sqrt(lambda))
+    with lambda clipped to [0, 1]. A cosine near 0 comes from its square,
+    so grassmann resolves an angle near pi/2 only to about sqrt(eps); the
+    grid only ranks cells, and the reported distances come from
     :func:`principal_angles`.
     """
     kx_max, ka_max = int(kx_grid[-1]), int(ka_grid[-1])
-    f = y.shape[1]
-    m_xa = u[:, :kx_max].T @ v[:, :ka_max]
-    m_xy = u[:, :kx_max].T @ y
-    m_ay = v[:, :ka_max].T @ y
-
     if metric == "chordal":
-        cum = np.cumsum(np.cumsum(m_xa**2, axis=0), axis=1)
-        alpha = np.minimum(kx_grid[:, None], ka_grid[None, :]).astype(float)
-        d2_xa = np.clip(alpha - cum[kx_grid - 1][:, ka_grid - 1], 0.0, None)
-        row_xy = np.cumsum((m_xy**2).sum(axis=1))
-        d2_xy = np.clip(f - row_xy[kx_grid - 1], 0.0, None)
-        row_ay = np.cumsum((m_ay**2).sum(axis=1))
-        d2_ay = np.clip(f - row_ay[ka_grid - 1], 0.0, None)
-        return d2_xa, d2_xy, d2_ay
+        d2_xa, d2_xy, d2_ay = _chordal_tables(u, v, y, kx_max, ka_max)
+        return d2_xa[kx_grid - 1][:, ka_grid - 1], d2_xy[kx_grid - 1], d2_ay[ka_grid - 1]
 
-    label_dim = np.array([f])
-    d2_xa = _sq_distance_block_grid(m_xa, kx_grid, ka_grid, metric)
-    d2_xy = _sq_distance_block_grid(m_xy, kx_grid, label_dim, metric)[:, 0]
-    d2_ay = _sq_distance_block_grid(m_ay, ka_grid, label_dim, metric)[:, 0]
+    label_dim = np.array([y.shape[1]])
+    d2_xa = _sq_distance_block_grid(u[:, :kx_max].T @ v[:, :ka_max], kx_grid, ka_grid, metric)
+    d2_xy = _sq_distance_block_grid(u[:, :kx_max].T @ y, kx_grid, label_dim, metric)[:, 0]
+    d2_ay = _sq_distance_block_grid(v[:, :ka_max].T @ y, ka_grid, label_dim, metric)[:, 0]
     return d2_xa, d2_xy, d2_ay
 
 
@@ -426,6 +441,25 @@ def _null_ensemble(
     return nulls
 
 
+def _chordal_objective_table(u_orig, v_orig, y, nulls, kx_max: int, ka_max: int) -> np.ndarray:
+    """Chordal objective, mean null SAM minus the data's SAM, at every
+    integer cell, indexed [k_x - 1, k_a - 1]. Each null's full graph
+    spectrum is solved once and dropped once its SAM has been added."""
+    def sam_table(u, v):
+        sams, d2_xy, d2_ay = _chordal_tables(u, v, y, kx_max, ka_max)
+        sams += d2_xy[:, None]
+        sams += d2_ay[None, :]
+        sams *= 2.0
+        return np.sqrt(sams, out=sams)
+
+    table = -sam_table(u_orig, v_orig)
+    for perm, a_hat_null in nulls:
+        v_null = graph_basis(a_hat_null, ka_max).matrix
+        table += sam_table(u_orig[perm], v_null) / len(nulls)
+        del v_null
+    return table
+
+
 def optimize_dimensions(
     dataset: Dataset,
     metric: str = "chordal",
@@ -446,25 +480,21 @@ def optimize_dimensions(
     matching the classifier's preprocessing. Deterministic per seed.
 
     Computed once per search: the feature SVD and the full graph spectrum
-    (:func:`graph_spectrum`) of the original data, and each null's row
-    permutation and sparse normalized adjacency. No dense factor of a null
-    outlives its round. A fully randomized feature copy is a row
-    permutation P of the features, and row normalization acts row by row,
-    so the left singular factor of the null is U(P X) = P U(X): the
-    original factor with its rows permuted, and the search runs a single
-    SVD. Each round solves, per null, only the top `ka_grid[-1]` graph
-    eigenpairs through :func:`graph_basis` (the first round's grid reaches
-    N-1, hence the full spectrum). The result matches redrawing and
-    redecomposing every null in every round to rounding in SAM and the
-    distances.
+    (:func:`graph_spectrum`) of the data, and each null's row permutation
+    and sparse normalized adjacency. Row normalization acts row by row, so
+    a null's feature factor is U(P X) = P U(X), and the search runs one SVD.
 
-    The chordal grid is a cumulative sum over the cross products of the
-    factors. The grassmann and projection grids take each cell's squared
-    cosines as the eigenvalues of the smaller Gram matrix of its cross
-    block, with no SVD per cell: projection reads the smallest eigenvalue
-    (1 - lambda_min is the squared distance), grassmann all of them
-    (theta = arccos(sqrt(lambda))). The distances and SAM at k* come from
-    :func:`distance_matrix` either way.
+    The chordal distance is a sum over the principal angles, so cumulative
+    sums of the cross products give the objective at every integer
+    (k_x, k_a): it is filled once, with one full spectrum per null, and
+    every round reads its grid from it (round-1 cells bitwise equal a
+    per-grid evaluation). Projection and grassmann are not sums: each cell
+    needs the eigenvalues (squared cosines) of its own Gram block, so each
+    round evaluates its grid and solves, per null, the top `ka_grid[-1]`
+    eigenpairs through :func:`graph_basis`, which matches redecomposing
+    every null in every round to rounding. Projection reads 1 - lambda_min,
+    grassmann theta = arccos(sqrt(lambda)). The distances and SAM at k*
+    come from :func:`distance_matrix`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric: {metric!r}")
@@ -476,22 +506,26 @@ def optimize_dimensions(
     kx_hi = min(dataset.n_features, n - 1)
     ka_hi = n - 1
 
-    y = one_hot(dataset.labels, f)
-    y_basis = groundtruth_basis(y)
+    y_basis = groundtruth_basis(one_hot(dataset.labels, f))
+    y = y_basis.matrix
     u_orig, _ = left_singular_factor(row_normalize_features(dataset.features))
     _, v_orig = graph_spectrum(normalized_adjacency(dataset.adjacency))
     nulls = _null_ensemble(dataset, seed, n_null)
+
+    if metric == "chordal":
+        table = _chordal_objective_table(u_orig, v_orig, y, nulls, kx_hi, ka_hi)
 
     kx_grid = dimension_grid(f, kx_hi, grid_points)
     ka_grid = dimension_grid(f, ka_hi, grid_points)
     kx_best = ka_best = f
     for round_index in range(rounds):
-        objective = -_sam_grid(u_orig, v_orig, y_basis.matrix, kx_grid, ka_grid, metric)
-        for perm, a_hat_null in nulls:
-            v_null = graph_basis(a_hat_null, int(ka_grid[-1])).matrix
-            objective += (
-                _sam_grid(u_orig[perm], v_null, y_basis.matrix, kx_grid, ka_grid, metric) / n_null
-            )
+        if metric == "chordal":
+            objective = table[kx_grid - 1][:, ka_grid - 1]
+        else:
+            objective = -_sam_grid(u_orig, v_orig, y, kx_grid, ka_grid, metric)
+            for perm, a_hat_null in nulls:
+                v_null = graph_basis(a_hat_null, int(ka_grid[-1])).matrix
+                objective += _sam_grid(u_orig[perm], v_null, y, kx_grid, ka_grid, metric) / n_null
         ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
         kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
         if round_index + 1 < rounds:

@@ -161,6 +161,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "argument --percent: must be a percent in [0, 100], got -5"),
         (["sweep", "--grid", "0:150:50"],
          "argument --grid: grid '0:150:50' must list one or more percents in [0, 100]"),
+        (["sweep", "--variants", "gcn,foo"], "argument --variants: unknown variants ['foo']"),
     ]:
         capsys.readouterr()
         assert cli(argv) == 2

@@ -128,6 +128,40 @@ def test_randomize_graph_degrees_never_grow():
         assert np.all(d1 <= d0)
 
 
+def _set_based_randomize_graph(adjacency, p_graph, seed):
+    """The cleanup as it was written with a Python set of (i < j) tuples."""
+    upper = sp.triu(adjacency, k=1).tocoo()
+    edges = np.column_stack([upper.row, upper.col]).astype(np.int64)
+    m = len(edges)
+    n_rewire = int(np.floor(m * p_graph / 100.0))
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(m, size=n_rewire, replace=False)
+    keep_mask = np.ones(m, dtype=bool)
+    keep_mask[chosen] = False
+    rewired = rewire_stubs(edges[chosen], rng)
+    final = {(int(u), int(v)) for u, v in edges[keep_mask]}
+    final.update((int(min(u, v)), int(max(u, v))) for u, v in rewired if u != v)
+    rows = np.fromiter((e[0] for e in final), dtype=np.int64, count=len(final))
+    cols = np.fromiter((e[1] for e in final), dtype=np.int64, count=len(final))
+    a = sp.coo_matrix((np.ones(len(final)), (rows, cols)), shape=adjacency.shape)
+    a = (a + a.T).tocsr()
+    a.data[:] = 1.0
+    return a
+
+
+def test_randomize_graph_matches_set_based_cleanup(small_constructive, tiny_dataset):
+    """Deduplicating through unique integer keys gives the CSR arrays,
+    bit for bit, that the set of index tuples gave."""
+    for adjacency in (small_constructive.adjacency, tiny_dataset.adjacency):
+        for p in (1, 10, 50, 100):
+            for seed in range(5):
+                got = randomize_graph(adjacency, p, seed)
+                want = _set_based_randomize_graph(adjacency, p, seed)
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
+                    assert getattr(got, field).dtype == getattr(want, field).dtype
+
+
 def test_randomize_graph_rejects_bad_percent(tiny_dataset):
     with pytest.raises(ValueError):
         randomize_graph(tiny_dataset.adjacency, 101, 0)

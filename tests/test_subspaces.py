@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from graphalign import (
     METRICS,
+    ConstructiveSpec,
     OrthonormalBasis,
     alignment_at,
     derive_seed,
     dimension_grid,
     distance_matrix,
     feature_basis,
+    generate_constructive,
     graph_basis,
     groundtruth_basis,
     normalized_adjacency,
@@ -29,6 +31,8 @@ from graphalign import (
 from graphalign.datasets import row_normalize_features
 from graphalign.subspaces import (
     DistanceMatrix3,
+    _chordal_objective_table,
+    _null_ensemble,
     _sam_grid,
     _sq_distance_grids,
     graph_spectrum,
@@ -175,6 +179,44 @@ def test_principal_angles_symmetry_and_count():
     assert np.allclose(a12, a21, atol=1e-10)
     with pytest.raises(ValueError, match="ambient"):
         principal_angles(b1, random_basis(rng, 8, 2))
+
+
+def _nested_pair(rng, n, k1, k2):
+    """Two bases, the lower-dimensional one spanning a rotated subspace of
+    the other, so every angle is zero."""
+    big = random_basis(rng, n, max(k1, k2)).matrix
+    small = big @ scipy.linalg.qr(rng.standard_normal((max(k1, k2), min(k1, k2))),
+                                  mode="economic")[0]
+    return (small, big) if k1 <= k2 else (big, small)
+
+
+@pytest.mark.parametrize("k1, k2", [(3, 7), (5, 5), (9, 4), (1, 1), (40, 12)])
+def test_principal_angles_match_scipy_subspace_angles(k1, k2):
+    rng = np.random.default_rng(41)
+    n = 60
+    pairs = [(random_basis(rng, n, k1).matrix, random_basis(rng, n, k2).matrix),
+             _nested_pair(rng, n, k1, k2)]
+    for a, b in pairs:
+        got = principal_angles(OrthonormalBasis(a), OrthonormalBasis(b)).angles
+        want = np.sort(scipy.linalg.subspace_angles(a, b))
+        assert got.shape == (min(k1, k2),)
+        assert np.abs(got - want).max() <= 1e-13
+
+
+def test_principal_angles_mixed_small_and_right_angles():
+    """Prescribed angles from 1e-9 to pi/2 - 1e-9 in one pair: each angle
+    comes from whichever of its sine and cosine determines it accurately."""
+    rng = np.random.default_rng(43)
+    n = 40
+    q = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
+    theta = np.array([1e-9, 0.3, np.pi / 4, 1.2, np.pi / 2 - 1e-9])
+    k = len(theta)
+    a = q[:, :k]
+    b = a * np.cos(theta) + q[:, k:2 * k] * np.sin(theta)
+    wide = np.hstack([b, q[:, 2 * k:2 * k + 3]])
+    for b1, b2 in ((a, b), (b, a), (a, wide), (wide, a)):
+        got = principal_angles(OrthonormalBasis(b1), OrthonormalBasis(b2)).angles
+        assert np.abs(got - theta).max() <= 1e-15
 
 
 def test_subspace_distance_values():
@@ -443,8 +485,10 @@ def test_optimize_dimensions_deterministic(small_constructive):
 
 
 def _reference_full_spectrum(a_hat):
-    """The full eigendecomposition the search used to run for every null."""
-    w, v = scipy.linalg.eigh(a_hat.toarray())
+    """The full eigendecomposition the search used to run for every null.
+    It uses the search's eigensolver driver: where a cut splits a tie, the
+    span is not determined by the operator but by the driver."""
+    w, v = scipy.linalg.eigh(a_hat.toarray(), driver="evd")
     return v[:, np.argsort(-w, kind="stable")]
 
 
@@ -508,3 +552,60 @@ def test_optimize_dimensions_matches_per_round_null_search(small_constructive, m
     for got, want in ((res.distances.d_xa, distances.d_xa), (res.distances.d_xy, distances.d_xy),
                       (res.distances.d_ay, distances.d_ay)):
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def _per_grid_chordal_sam(u, v, y, kx_grid, ka_grid):
+    """The chordal grid evaluated on its own, as each round once did."""
+    kx_max, ka_max = int(kx_grid[-1]), int(ka_grid[-1])
+    f = y.shape[1]
+    m_xa = u[:, :kx_max].T @ v[:, :ka_max]
+    m_xy = u[:, :kx_max].T @ y
+    m_ay = v[:, :ka_max].T @ y
+    cum = np.cumsum(np.cumsum(m_xa**2, axis=0), axis=1)
+    alpha = np.minimum(kx_grid[:, None], ka_grid[None, :]).astype(float)
+    d2_xa = np.clip(alpha - cum[kx_grid - 1][:, ka_grid - 1], 0.0, None)
+    d2_xy = np.clip(f - np.cumsum((m_xy**2).sum(axis=1))[kx_grid - 1], 0.0, None)
+    d2_ay = np.clip(f - np.cumsum((m_ay**2).sum(axis=1))[ka_grid - 1], 0.0, None)
+    return np.sqrt(2.0 * (d2_xa + d2_xy[:, None] + d2_ay[None, :]))
+
+
+def test_chordal_table_first_round_is_bitwise_the_grid_evaluation(small_constructive):
+    ds, n_null = small_constructive, 3
+    n, f = ds.n_nodes, ds.num_classes
+    kx_hi, ka_hi = min(ds.n_features, n - 1), n - 1
+    y = groundtruth_basis(one_hot(ds.labels, f)).matrix
+    u, _ = left_singular_factor(row_normalize_features(ds.features))
+    _, v = graph_spectrum(normalized_adjacency(ds.adjacency))
+    nulls = _null_ensemble(ds, 3, n_null)
+    kx_grid, ka_grid = dimension_grid(f, kx_hi, 10), dimension_grid(f, ka_hi, 10)
+
+    want = -_per_grid_chordal_sam(u, v, y, kx_grid, ka_grid)
+    for perm, a_hat_null in nulls:
+        v_null = graph_basis(a_hat_null, int(ka_grid[-1])).matrix
+        want += _per_grid_chordal_sam(u[perm], v_null, y, kx_grid, ka_grid) / n_null
+    table = _chordal_objective_table(u, v, y, nulls, kx_hi, ka_hi)
+    assert table.shape == (kx_hi, ka_hi)
+    assert np.array_equal(table[kx_grid - 1][:, ka_grid - 1], want)
+
+
+def test_chordal_search_on_identical_components_matches_reference():
+    """Four copies of one component: every eigenvalue of the graph has
+    multiplicity four, so most k_a cut a tie."""
+    spec = ConstructiveSpec(n_nodes=40, n_communities=2, n_features=10,
+                            features_per_community=5, p_in=0.3, p_out=0.05, seed=4)
+    part = generate_constructive(spec)
+    copies = 4
+    ds = dataclasses.replace(
+        part,
+        node_ids=[f"{c}:{i}" for c in range(copies) for i in part.node_ids],
+        adjacency=sp.block_diag([part.adjacency] * copies, format="csr"),
+        features=np.random.default_rng(5).random((copies * part.n_nodes, 30)),
+        labels=np.tile(part.labels, copies),
+    )
+    w, _ = graph_spectrum(normalized_adjacency(ds.adjacency))
+    assert np.abs(w[3::4] - w[0::4]).max() <= 1e-12
+    for seed in (0, 1):
+        kx, ka, _, _ = _reference_search(ds, "chordal", n_null=3, grid_points=10, rounds=2,
+                                         seed=seed)
+        res = optimize_dimensions(ds, metric="chordal", n_null=3, rounds=2, seed=seed)
+        assert (res.k_star_x, res.k_star_a) == (kx, ka)
