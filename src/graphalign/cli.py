@@ -64,8 +64,10 @@ def _read_config(path: str) -> list[tuple[str, str]]:
             continue
         if "=" not in line:
             raise CliUsageError(f"{path}:{lineno}: expected `key = value`")
-        key, value = line.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise CliUsageError(f"{path}:{lineno}: a config file cannot name another")
+        pairs.append((key, value))
     return pairs
 
 
@@ -221,7 +223,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 def _cmd_randomize(args: argparse.Namespace) -> int:
     name, ds = _resolve_dataset(args)
-    degraded = _randomized_dataset(ds, args.axis, args.percent, args.rand_seed, args.realization)
+    degraded, _ = _randomized_dataset(ds, args.axis, args.percent, args.rand_seed, args.realization)
     save_dataset(degraded, args.out_edges, args.out_features)
     _emit(
         {"dataset": name, "axis": args.axis, "percent": args.percent,

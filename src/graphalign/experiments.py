@@ -20,11 +20,12 @@ import numpy as np
 
 from .datasets import Dataset, one_hot, row_normalize_features
 from .models import VARIANTS, GcnConfig, TrainingDiverged, build_split, train
-from .randomize import derive_seed, randomize_features, randomize_graph
+from .randomize import derive_seed, feature_permutation, randomize_graph
 from .subspaces import (
     METRICS,
     AlignmentResult,
     DistanceMatrix3,
+    OrthonormalBasis,
     feature_basis,
     graph_basis,
     groundtruth_basis,
@@ -108,23 +109,18 @@ class CorrelationResult:
 
 
 def _randomized_dataset(dataset: Dataset, axis: str, percent: int,
-                        base_seed: int, realization: int) -> Dataset:
-    adjacency = dataset.adjacency
-    features = dataset.features
+                        base_seed: int, realization: int) -> tuple[Dataset, np.ndarray]:
+    """A sweep cell's dataset and its feature row permutation (maybe the identity)."""
+    adjacency, rows = dataset.adjacency, np.arange(dataset.n_nodes)
     if axis in ("graph", "both"):
         adjacency = randomize_graph(
             adjacency, percent, derive_seed(base_seed, percent, realization, 0)
         )
     if axis in ("features", "both"):
-        features = randomize_features(
-            features, percent, derive_seed(base_seed, percent, realization, 1)
+        rows = feature_permutation(
+            len(rows), percent, derive_seed(base_seed, percent, realization, 1)
         )
-    return replace(dataset, adjacency=adjacency, features=features)
-
-
-def _keeps_features(axis: str, percent: int) -> bool:
-    """Whether the cells at this axis and percent see the original features."""
-    return axis == "graph" or percent == 0
+    return replace(dataset, adjacency=adjacency, features=dataset.features[rows]), rows
 
 
 def _cell_rows(args) -> dict[str, list[SweepRow]]:
@@ -132,16 +128,15 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
 
     The randomization, the principal angles and one training per variant
     are shared across metrics; only the angle-to-distance reduction
-    differs. `basis_x` is the sweep's feature basis of the original
-    features, used as it is when the cell keeps them; `basis_y` is the
-    sweep's label basis, which randomization never changes. Module-level
-    so worker processes can unpickle it.
+    differs. `basis_x` and `basis_y` are the sweep's feature and label
+    bases of the original data; `basis_x` with the rows permuted as the
+    cell permutes its features is bitwise that cell's feature basis (see
+    `left_singular_factor`). Module-level so worker processes can unpickle it.
     """
     spec, dims, metrics, split, basis_x, basis_y, percent, realization = args
-    ds = _randomized_dataset(spec.dataset, spec.axis, percent, spec.base_seed, realization)
+    ds, rows = _randomized_dataset(spec.dataset, spec.axis, percent, spec.base_seed, realization)
 
-    if not _keeps_features(spec.axis, percent):
-        basis_x = feature_basis(row_normalize_features(ds.features), dims.k_star_x)
+    basis_x = OrthonormalBasis(basis_x.matrix[rows])
     basis_a = graph_basis(normalized_adjacency(ds.adjacency), dims.k_star_a)
     th_xa = principal_angles(basis_x, basis_a)
     th_xy = principal_angles(basis_x, basis_y)
@@ -205,13 +200,7 @@ def run_sweep_multi(
     if workers < 1:
         raise ValueError("need at least one worker")
     split = build_split(spec.dataset.labels, seed=spec.base_seed)
-    # One decomposition of the original features serves every cell that
-    # keeps them. A cell with permuted feature rows P decomposes its own:
-    # P U(X) spans U(P X) only to rounding, while a row's SAM equals, bit
-    # for bit, alignment_at on the CLI's copy of its realization.
-    basis_x = None
-    if any(_keeps_features(spec.axis, percent) for percent in spec.percents):
-        basis_x = feature_basis(row_normalize_features(spec.dataset.features), dims.k_star_x)
+    basis_x = feature_basis(row_normalize_features(spec.dataset.features), dims.k_star_x)
     basis_y = groundtruth_basis(
         one_hot(spec.dataset.labels, spec.dataset.num_classes), dims.k_star_y
     )

@@ -201,9 +201,19 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
 
 
 def left_singular_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All left singular vectors (sign-fixed) and singular values."""
-    u, s, _ = np.linalg.svd(np.asarray(matrix, dtype=np.float64), full_matrices=False)
-    return _fix_signs(u), s
+    """All left singular vectors (sign-fixed) and singular values, with
+    U(P X) = P U(X) bit for bit: the SVD and the sign fix see the rows
+    sorted by bit pattern (-0.0 is not 0.0), the same bits for X and P X.
+    P may swap equal rows, so they share their first one's factor row: a
+    rounding change where s > 0 (U = X V / s), but columns past the rank
+    of a matrix with repeated rows are then not orthonormal."""
+    x = np.ascontiguousarray(matrix, dtype=np.float64)
+    order = np.lexsort(x.view(np.uint64).T)
+    bits = x[order].view(np.uint64)
+    starts = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
+    u, s, _ = np.linalg.svd(bits.view(np.float64), full_matrices=False)
+    lead = np.flatnonzero(starts)[np.cumsum(starts) - 1]  # first sorted row of each group
+    return _fix_signs(u)[lead[np.argsort(order)]], s
 
 
 def feature_basis(x: np.ndarray, k: int) -> OrthonormalBasis:
@@ -454,9 +464,7 @@ def _chordal_objective_table(u_orig, v_orig, y, nulls, kx_max: int, ka_max: int)
 
     table = -sam_table(u_orig, v_orig)
     for perm, a_hat_null in nulls:
-        v_null = graph_basis(a_hat_null, ka_max).matrix
-        table += sam_table(u_orig[perm], v_null) / len(nulls)
-        del v_null
+        table += sam_table(u_orig[perm], graph_basis(a_hat_null, ka_max).matrix) / len(nulls)
     return table
 
 
@@ -481,8 +489,8 @@ def optimize_dimensions(
 
     Computed once per search: the feature SVD and the full graph spectrum
     (:func:`graph_spectrum`) of the data, and each null's row permutation
-    and sparse normalized adjacency. Row normalization acts row by row, so
-    a null's feature factor is U(P X) = P U(X), and the search runs one SVD.
+    and sparse normalized adjacency; a null's feature factor U(P X) is
+    exactly P U(X) (:func:`left_singular_factor`), so the search runs one SVD.
 
     The chordal distance is a sum over the principal angles, so cumulative
     sums of the cross products give the objective at every integer
@@ -526,6 +534,7 @@ def optimize_dimensions(
             for perm, a_hat_null in nulls:
                 v_null = graph_basis(a_hat_null, int(ka_grid[-1])).matrix
                 objective += _sam_grid(u_orig[perm], v_null, y, kx_grid, ka_grid, metric) / n_null
+                del v_null
         ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
         kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
         if round_index + 1 < rounds:

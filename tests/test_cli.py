@@ -90,7 +90,7 @@ def test_randomize_reproduces_sweep_realization(dataset_files, tmp_path, capsys)
                 "--rand-seed", "3", "--realization", "2", "--out-edges", oe, "--out-features", of])
     assert code == 0
     degraded = load_dataset(oe, of)
-    expected = _randomized_dataset(load_dataset(*dataset_files), "both", 50, 3, 2)
+    expected, _ = _randomized_dataset(load_dataset(*dataset_files), "both", 50, 3, 2)
     assert np.array_equal(degraded.features, expected.features)
     assert (degraded.adjacency != expected.adjacency).nnz == 0
 
@@ -247,6 +247,10 @@ def test_config_file_errors(tmp_path, capsys):
     assert cli(["train", "--config", str(bad)]) == 2
     assert cli(["train", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert cli(["train", "--config"]) == 2
+    loop = tmp_path / "loop.cfg"
+    loop.write_text(f"config = {loop}\n")  # would expand itself forever
+    assert cli(["align", "--config", str(loop)]) == 2
+    assert "cannot name another" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -18,6 +18,7 @@ from graphalign import (
     run_sweep_multi,
     write_rows,
 )
+from graphalign import subspaces
 from graphalign.experiments import CSV_HEADER, _randomized_dataset
 
 
@@ -96,20 +97,33 @@ def test_multi_metric_sweep_shares_trainings(sweep_dataset):
         assert rc.sam >= rp.sam  # chordal sums all angles, projection takes one
 
 
-@pytest.mark.parametrize("axis", ["graph", "both"])
+@pytest.mark.parametrize("axis", ["graph", "features", "both"])
 def test_cell_alignment_equals_alignment_at_on_its_realization(sweep_dataset, axis):
-    """Cells that keep the features share the sweep's one feature basis;
-    every row's SAM and distances equal a fresh evaluation of its dataset."""
+    """Every cell indexes the sweep's one feature basis with its row
+    permutation; every row's SAM and distances equal a fresh evaluation
+    of its dataset, bit for bit."""
     dims = alignment_at(sweep_dataset, 5, 4)
     spec = quick_spec(sweep_dataset, axis=axis, realizations=1, variants=("sgc",))
     by_metric = run_sweep_multi(spec, dims, metrics=METRICS)
     for metric in METRICS:
         assert [r.percent for r in by_metric[metric]] == [0, 50, 100]
         for row in by_metric[metric]:
-            ds = _randomized_dataset(sweep_dataset, axis, row.percent, 0, row.realization)
+            ds, _ = _randomized_dataset(sweep_dataset, axis, row.percent, 0, row.realization)
             fresh = alignment_at(ds, 5, 4, metric)
             d = fresh.distances
             assert (row.sam, row.d_xa, row.d_xy, row.d_ay) == (fresh.sam, d.d_xa, d.d_xy, d.d_ay)
+
+
+def test_sweep_factors_features_and_labels_once(sweep_dataset, monkeypatch):
+    dims = alignment_at(sweep_dataset, 5, 4)
+    calls = []
+    factor = subspaces.left_singular_factor
+    monkeypatch.setattr(subspaces, "left_singular_factor",
+                        lambda matrix: calls.append(matrix.shape) or factor(matrix))
+    spec = quick_spec(sweep_dataset, axis="features", variants=("sgc",))
+    rows = run_sweep_multi(spec, dims, metrics=("chordal",))
+    assert len(rows["chordal"]) == 3 * 2
+    assert calls == [(60, 12), (60, 3)]  # features, then labels; no cell factors
 
 
 def test_sweep_workers_match_serial(sweep_dataset):
