@@ -201,38 +201,39 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
 
 
 def left_singular_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All left singular vectors (sign-fixed) and singular values, with
-    U(P X) = P U(X) bit for bit: the SVD and the sign fix see the rows
-    sorted by bit pattern (-0.0 is not 0.0), the same bits for X and P X.
-    P may swap equal rows, so they share their first one's factor row: a
-    rounding change where s > 0 (U = X V / s), but columns past the rank
-    of a matrix with repeated rows are then not orthonormal."""
+    """Sign-fixed left singular vectors and singular values of X = E D: D the
+    distinct rows sorted as raw bytes (-0.0 is not 0.0), E the row map, C the
+    row counts. U = E C^-1/2 W from the SVD W S V^T of C^1/2 D has
+    min(distinct rows, columns) orthonormal columns, and U(P X) = P U(X) bit for bit."""
     x = np.ascontiguousarray(matrix, dtype=np.float64)
-    order = np.lexsort(x.view(np.uint64).T)
-    bits = x[order].view(np.uint64)
-    starts = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
-    u, s, _ = np.linalg.svd(bits.view(np.float64), full_matrices=False)
-    lead = np.flatnonzero(starts)[np.cumsum(starts) - 1]  # first sorted row of each group
-    return _fix_signs(u)[lead[np.argsort(order)]], s
+    row_key = np.dtype((np.void, x.itemsize * x.shape[1]))
+    order = np.argsort(x.view(row_key).ravel())
+    x = x[order]
+    keys = x.view(row_key).ravel()
+    starts = np.r_[True, keys[1:] != keys[:-1]]  # first sorted row of each distinct row
+    inverse = (np.cumsum(starts) - 1)[np.argsort(order)]
+    scale = np.sqrt(np.bincount(inverse))[:, None]
+    x = x if starts.all() else x[starts]
+    x *= scale
+    w, s, _ = np.linalg.svd(x, full_matrices=False)
+    w /= scale
+    return _fix_signs(w)[inverse], s
 
 
 def feature_basis(x: np.ndarray, k: int) -> OrthonormalBasis:
     """Left singular vectors of the uncentered matrix for the k largest
     singular values (principal directions without mean removal)."""
-    n, c = x.shape
-    if k > c:
-        raise ValueError(f"k={k} exceeds the column count {c}")
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < {n}, got k={k}")
+    if not 1 <= k < x.shape[0]:
+        raise ValueError(f"need 1 <= k < {x.shape[0]}, got k={k}")
     u, _ = left_singular_factor(x)
+    if k > u.shape[1]:
+        raise ValueError(f"k={k} exceeds the factor's {u.shape[1]} columns")
     return OrthonormalBasis(u[:, :k])
 
 
 def groundtruth_basis(y: np.ndarray, k: int | None = None) -> OrthonormalBasis:
-    """Basis of the label subspace; k defaults to the class count."""
-    if k is None:
-        k = y.shape[1]
-    return feature_basis(y, k)
+    """Basis of the label subspace; k defaults to the count of nonempty classes."""
+    return feature_basis(y, int(np.count_nonzero(y.any(axis=0))) if k is None else k)
 
 
 def principal_angles(b1: OrthonormalBasis, b2: OrthonormalBasis) -> PrincipalAngles:
@@ -301,8 +302,8 @@ def sam(distances: DistanceMatrix3) -> float:
 def alignment_at(dataset: Dataset, kx: int, ka: int, metric: str = "chordal") -> AlignmentResult:
     """Alignment at explicitly chosen dimensions, skipping optimization.
 
-    The label dimension is always the class count. Features enter the
-    subspace analysis row-normalized, the same preprocessing the
+    The label dimension is the count of classes with a member. Features
+    enter the subspace analysis row-normalized, the same preprocessing the
     classifier sees.
     """
     f = dataset.num_classes
@@ -313,7 +314,7 @@ def alignment_at(dataset: Dataset, kx: int, ka: int, metric: str = "chordal") ->
     return AlignmentResult(
         k_star_x=kx,
         k_star_a=ka,
-        k_star_y=f,
+        k_star_y=basis_y.dim,
         distances=distances,
         sam=sam(distances),
         metric=metric,
@@ -478,11 +479,11 @@ def optimize_dimensions(
 ) -> AlignmentResult:
     """Pick subspace dimensions maximizing discrimination from the null model.
 
-    The label dimension is pinned to the class count. The feature and graph
-    dimensions are scanned jointly on an integer grid (class count up to the
-    feature count, respectively the node count minus one); the objective at
-    each cell is the mean alignment measure over `n_null` fully randomized
-    copies minus the measure of the original data, and the argmax wins.
+    The label dimension is pinned to the count of nonempty classes. The
+    feature and graph dimensions are scanned jointly on an integer grid (class
+    count up to the feature factor's column count, respectively the node count
+    minus one); the objective at each cell is the mean alignment measure over
+    `n_null` fully randomized copies minus that of the original data; the argmax wins.
     Each later round re-grids the interval between the neighbors of the
     previous argmax. Features are row-normalized before the decomposition,
     matching the classifier's preprocessing. Deterministic per seed.
@@ -511,12 +512,10 @@ def optimize_dimensions(
     if rounds < 1:
         raise ValueError("need at least one round")
     n, f = dataset.n_nodes, dataset.num_classes
-    kx_hi = min(dataset.n_features, n - 1)
-    ka_hi = n - 1
-
     y_basis = groundtruth_basis(one_hot(dataset.labels, f))
     y = y_basis.matrix
     u_orig, _ = left_singular_factor(row_normalize_features(dataset.features))
+    kx_hi, ka_hi = min(u_orig.shape[1], n - 1), n - 1
     _, v_orig = graph_spectrum(normalized_adjacency(dataset.adjacency))
     nulls = _null_ensemble(dataset, seed, n_null)
 
@@ -557,7 +556,7 @@ def optimize_dimensions(
     return AlignmentResult(
         k_star_x=kx_best,
         k_star_a=ka_best,
-        k_star_y=f,
+        k_star_y=y_basis.dim,
         distances=distances,
         sam=sam(distances),
         metric=metric,

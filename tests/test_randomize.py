@@ -223,7 +223,8 @@ def test_randomize_features_is_row_permutation():
 )
 def test_left_factor_of_permuted_rows_is_permuted_factor(x, copies, zeros, p, seed):
     """U(P X) = P U(X) bit for bit, for the raw and the row-normalized
-    matrix (normalization acts row by row), with duplicate and zero rows."""
+    matrix (normalization acts row by row), with duplicate and zero rows;
+    every column of U is orthonormal, also past the rank."""
     n = x.shape[0]
     for dst, src in copies:
         x[dst % n] = x[src % n]
@@ -234,6 +235,7 @@ def test_left_factor_of_permuted_rows_is_permuted_factor(x, copies, zeros, p, se
         u_perm, s_perm = left_singular_factor(m[perm])
         assert u_perm.tobytes() == u[perm].tobytes()
         assert s_perm.tobytes() == s.tobytes()
+        assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-12
 
 
 def test_randomize_features_rejects_bad_percent():

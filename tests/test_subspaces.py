@@ -319,6 +319,10 @@ def test_feature_basis_bounds():
         feature_basis(x, 4)
     with pytest.raises(ValueError):
         feature_basis(np.random.default_rng(0).random((3, 5)), 3)  # k >= n
+    repeated = np.array([[1.0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]])
+    feature_basis(repeated, 3).validate()
+    with pytest.raises(ValueError):
+        feature_basis(repeated, 4)  # k > distinct rows
 
 
 def test_groundtruth_basis_spans_indicators():
@@ -327,6 +331,19 @@ def test_groundtruth_basis_spans_indicators():
     assert basis.dim == 2
     ind = OrthonormalBasis(y / np.sqrt(2))
     assert subspace_distance(principal_angles(basis, ind), "chordal") <= 1e-10
+
+
+def test_groundtruth_basis_skips_empty_class():
+    basis = groundtruth_basis(one_hot(np.array([0, 0, 2, 2]), 3))
+    basis.validate()
+    assert basis.dim == 2
+
+
+def test_alignment_label_dimension_counts_present_classes(small_constructive):
+    labels = small_constructive.labels
+    ds = dataclasses.replace(small_constructive, labels=np.where(labels == 3, 0, labels))
+    assert alignment_at(ds, 10, 4).k_star_y == 3
+    assert optimize_dimensions(ds, n_null=1, rounds=1).k_star_y == 3
 
 
 def test_dimension_grid_floor_of_linspace():
