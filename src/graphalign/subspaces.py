@@ -143,12 +143,12 @@ def normalized_adjacency(adjacency: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
 
 
 def _fix_signs(matrix: np.ndarray) -> np.ndarray:
-    """Flip columns so the largest-magnitude entry of each is positive."""
-    m = matrix.copy()
-    lead = np.abs(m).argmax(axis=0)
-    flip = m[lead, np.arange(m.shape[1])] < 0
-    m[:, flip] *= -1.0
-    return m
+    """Flip columns in place so the largest-magnitude entry of each is
+    positive; returns `matrix`. Callers pass an array they own."""
+    lead = np.abs(matrix).argmax(axis=0)
+    flip = matrix[lead, np.arange(matrix.shape[1])] < 0
+    matrix[:, flip] *= -1.0
+    return matrix
 
 
 def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,20 +157,22 @@ def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndar
     A sparse operator (as :func:`normalized_adjacency` returns) is turned
     into a dense array right before the dense eigensolver; this is the
     only place an N x N dense operator is built. The full spectrum comes
-    from LAPACK's divide-and-conquer driver (``evd``), the fastest one for
-    all eigenpairs at the sizes used here. Eigenvalues come back sorted by
-    decreasing algebraic value; ties keep the eigensolver's original
-    order (stable sort), and each eigenvector's largest-magnitude entry
-    is made positive, so the output is deterministic even for degenerate
-    spectra. :func:`optimize_dimensions` calls it once per search for the
-    original graph; a null reaches it through :func:`graph_basis` where
-    the search needs all its eigenpairs (chordal table, first round).
+    from ``numpy.linalg.eigh``, LAPACK's divide-and-conquer driver
+    (``?syevd``), the fastest one for all eigenpairs at the sizes used
+    here; it runs on numpy's BLAS, as do the products and Gram
+    eigenvalues of the dimension search, so the search uses one BLAS
+    thread pool. Eigenvalues come back sorted by decreasing algebraic
+    value; ties keep the eigensolver's original order (stable sort), and
+    each eigenvector's largest-magnitude entry is made positive, so the
+    output is deterministic even for degenerate spectra.
+    :func:`optimize_dimensions` calls it once per search for the original
+    graph and, for every null basis it needs, once for that null.
     """
     if sp.issparse(a_hat):
         a_hat = a_hat.toarray()
-    w, v = scipy.linalg.eigh(a_hat, driver="evd")
+    w, v = np.linalg.eigh(a_hat)
     order = np.argsort(-w, kind="stable")
-    return w[order], _fix_signs(v[:, order])
+    return w[order], _fix_signs(np.take(v, order, axis=1))  # C order, like the SVD factors
 
 
 def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
@@ -186,6 +188,11 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
     solves faster. Columns are sorted by decreasing eigenvalue and
     sign-fixed like the full spectrum's; away from a tie their span is
     the full-spectrum prefix to rounding.
+
+    This is the fixed-k path (:func:`alignment_at`, sweep cells), and the
+    one scipy LAPACK call of the module: numpy has no subset eigensolver,
+    and a full spectrum here would hold an N x N factor in every sweep
+    cell. :func:`optimize_dimensions` does not call it.
     """
     n = a_hat.shape[0]
     if not 1 <= k < n:
@@ -195,7 +202,7 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
         w, v = scipy.linalg.eigh(dense, subset_by_index=[n - k - 1, n - 1])
         # Ascending order: w[0] is lambda_{k+1}, w[1] is lambda_k.
         if w[1] - w[0] > n * np.finfo(np.float64).eps * max(1.0, float(np.abs(w).max())):
-            return OrthonormalBasis(_fix_signs(v[:, :0:-1]))
+            return OrthonormalBasis(_fix_signs(v[:, :0:-1].copy()))  # C order, like the full spectrum
     _, v = graph_spectrum(a_hat)
     return OrthonormalBasis(v[:, :k])
 
@@ -252,12 +259,12 @@ def principal_angles(b1: OrthonormalBasis, b2: OrthonormalBasis) -> PrincipalAng
         )
     a, b = b1.matrix, b2.matrix
     cross = a.T @ b
-    cosines = scipy.linalg.svdvals(cross)  # descending: angles ascending
+    cosines = np.linalg.svd(cross, compute_uv=False)  # descending: angles ascending
     angles = np.arccos(np.clip(cosines, 0.0, 1.0))
     small = cosines**2 >= 0.5
     if small.any():
         residual = b - a @ cross if b1.dim >= b2.dim else a - b @ cross.T
-        sines = scipy.linalg.svdvals(residual)[::-1]  # ascending, like the angles
+        sines = np.linalg.svd(residual, compute_uv=False)[::-1]  # ascending, like the angles
         angles = np.where(small, np.arcsin(np.clip(sines, 0.0, 1.0)), angles)
     return PrincipalAngles(np.sort(angles))
 
@@ -465,7 +472,7 @@ def _chordal_objective_table(u_orig, v_orig, y, nulls, kx_max: int, ka_max: int)
 
     table = -sam_table(u_orig, v_orig)
     for perm, a_hat_null in nulls:
-        table += sam_table(u_orig[perm], graph_basis(a_hat_null, ka_max).matrix) / len(nulls)
+        table += sam_table(u_orig[perm], graph_spectrum(a_hat_null)[1]) / len(nulls)
     return table
 
 
@@ -492,6 +499,9 @@ def optimize_dimensions(
     (:func:`graph_spectrum`) of the data, and each null's row permutation
     and sparse normalized adjacency; a null's feature factor U(P X) is
     exactly P U(X) (:func:`left_singular_factor`), so the search runs one SVD.
+    Every null graph basis is a column prefix of that null's full
+    :func:`graph_spectrum`, so every factorization of the search runs on
+    numpy's LAPACK and one BLAS thread pool.
 
     The chordal distance is a sum over the principal angles, so cumulative
     sums of the cross products give the objective at every integer
@@ -499,11 +509,9 @@ def optimize_dimensions(
     every round reads its grid from it (round-1 cells bitwise equal a
     per-grid evaluation). Projection and grassmann are not sums: each cell
     needs the eigenvalues (squared cosines) of its own Gram block, so each
-    round evaluates its grid and solves, per null, the top `ka_grid[-1]`
-    eigenpairs through :func:`graph_basis`, which matches redecomposing
-    every null in every round to rounding. Projection reads 1 - lambda_min,
-    grassmann theta = arccos(sqrt(lambda)). The distances and SAM at k*
-    come from :func:`distance_matrix`.
+    round evaluates its grid and solves each null's full spectrum again.
+    Projection reads 1 - lambda_min, grassmann theta = arccos(sqrt(lambda)).
+    The distances and SAM at k* come from :func:`distance_matrix`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric: {metric!r}")
@@ -531,7 +539,7 @@ def optimize_dimensions(
         else:
             objective = -_sam_grid(u_orig, v_orig, y, kx_grid, ka_grid, metric)
             for perm, a_hat_null in nulls:
-                v_null = graph_basis(a_hat_null, int(ka_grid[-1])).matrix
+                _, v_null = graph_spectrum(a_hat_null)
                 objective += _sam_grid(u_orig[perm], v_null, y, kx_grid, ka_grid, metric) / n_null
                 del v_null
         ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)

@@ -99,6 +99,20 @@ def _largest_angle(b1, b2):
     return float(principal_angles(OrthonormalBasis(b1), OrthonormalBasis(b2)).angles.max())
 
 
+def test_graph_spectrum_matches_scipy_evd(small_constructive):
+    """numpy and scipy ship different OpenBLAS builds, so the same LAPACK
+    driver agrees to rounding, not bit for bit."""
+    a_hat = normalized_adjacency(small_constructive.adjacency)
+    w, v = graph_spectrum(a_hat)
+    w_ref, v_ref = scipy.linalg.eigh(a_hat.toarray(), driver="evd")
+    order = np.argsort(-w_ref, kind="stable")
+    w_ref, v_ref = w_ref[order], v_ref[:, order]
+    assert np.abs(w - w_ref).max() <= 1e-12
+    for k in (1, 4, 5, 10, 60):
+        assert w[k - 1] - w[k] > 1e-4  # away from ties: the top-k span is unique
+        assert _largest_angle(v[:, :k], v_ref[:, :k]) <= 1e-12
+
+
 def test_graph_basis_top_k_matches_full_spectrum_prefix(small_constructive):
     rewired = randomize_graph(small_constructive.adjacency, 100, 5)
     for adjacency in (small_constructive.adjacency, rewired):
@@ -505,8 +519,22 @@ def _reference_full_spectrum(a_hat):
     """The full eigendecomposition the search used to run for every null.
     It uses the search's eigensolver driver: where a cut splits a tie, the
     span is not determined by the operator but by the driver."""
-    w, v = scipy.linalg.eigh(a_hat.toarray(), driver="evd")
+    w, v = np.linalg.eigh(a_hat.toarray())
     return v[:, np.argsort(-w, kind="stable")]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_optimize_dimensions_runs_no_scipy_factorization(small_constructive, metric,
+                                                         monkeypatch):
+    """numpy and scipy each load their own OpenBLAS with its own thread pool;
+    the search keeps every factorization on numpy's."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dimension search called scipy.linalg")
+
+    monkeypatch.setattr("graphalign.subspaces.scipy.linalg.eigh", refuse)
+    monkeypatch.setattr("graphalign.subspaces.scipy.linalg.svdvals", refuse)
+    res = optimize_dimensions(small_constructive, metric=metric, n_null=2, rounds=2, seed=1)
+    assert np.isfinite(res.sam)
 
 
 def _reference_sam_grid(u, v, y, kx_grid, ka_grid, metric):
@@ -598,7 +626,7 @@ def test_chordal_table_first_round_is_bitwise_the_grid_evaluation(small_construc
 
     want = -_per_grid_chordal_sam(u, v, y, kx_grid, ka_grid)
     for perm, a_hat_null in nulls:
-        v_null = graph_basis(a_hat_null, int(ka_grid[-1])).matrix
+        _, v_null = graph_spectrum(a_hat_null)
         want += _per_grid_chordal_sam(u[perm], v_null, y, kx_grid, ka_grid) / n_null
     table = _chordal_objective_table(u, v, y, nulls, kx_hi, ka_hi)
     assert table.shape == (kx_hi, ka_hi)
