@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -121,6 +122,18 @@ _seed = _int_at_least(0, "nonnegative integer")
 _positive = _int_at_least(1, "positive integer")
 # Degradation percents, as on a sweep grid.
 _percent = _int_at_least(0, "percent in [0, 100]", maximum=100)
+
+
+def _finite_float(text: str) -> float:
+    """Argument type of the real-valued flags (rates, weights, probabilities):
+    NaN and infinities slip through range checks, so they are refused here."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -285,9 +298,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     rows = read_rows(args.csv)
+    status = 0
     for result in correlate(rows, aggregation=args.aggregation):
         print(f"{result.dataset} {result.variant} r={result.r:+.4f} n={result.n_points}")
-    return 0
+        if result.reason:
+            print(f"error: {result.dataset} {result.variant}: r is undefined: {result.reason}",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=_positive, default=1000)
     p.add_argument("--communities", type=_positive, default=10)
     p.add_argument("--features-per-community", type=_positive, default=50)
-    p.add_argument("--p-in", type=float, default=0.07)
-    p.add_argument("--p-out", type=float, default=0.007)
+    p.add_argument("--p-in", type=_finite_float, default=0.07)
+    p.add_argument("--p-out", type=_finite_float, default=0.007)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--out-features", required=True)
@@ -335,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--variant", choices=VARIANTS, default="gcn")
     p.add_argument("--hidden", type=_positive, default=16)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=5e-4)
+    p.add_argument("--lr", type=_finite_float, default=0.01)
+    p.add_argument("--dropout", type=_finite_float, default=0.5)
+    p.add_argument("--l2", type=_finite_float, default=5e-4)
     p.add_argument("--epochs", type=_positive, default=400)
     p.add_argument("--patience", type=_positive, default=100)
     p.add_argument("--train-seed", type=_seed, default=0)

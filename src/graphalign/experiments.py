@@ -99,13 +99,15 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Pearson r between accuracy and alignment for one (dataset, variant)."""
+    """Pearson r between accuracy and alignment for one (dataset, variant);
+    r is NaN and `reason` says why when the group cannot define it."""
 
     dataset: str
     variant: str
     r: float
     n_points: int
     aggregation: str
+    reason: str = ""
 
 
 def _randomized_dataset(dataset: Dataset, axis: str, percent: int,
@@ -250,8 +252,8 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
     ``percent_mean`` correlates the per-percent means of accuracy and
     alignment (one point per grid percent); ``point`` correlates the raw
     realizations. Rows with NaN accuracy (diverged trainings) are dropped
-    first. Raises ValueError when a group degenerates (fewer than two
-    points or zero variance).
+    first. A group that degenerates (fewer than two points or zero
+    variance) gets r = NaN and the reason, so the other groups keep theirs.
     """
     if aggregation not in ("percent_mean", "point"):
         raise ValueError(f"unknown aggregation: {aggregation!r}")
@@ -272,13 +274,18 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
         else:
             accs = [r.accuracy for r in members]
             sams = [r.sam for r in members]
+        try:
+            r, reason = pearson(accs, sams), ""
+        except ValueError as exc:
+            r, reason = math.nan, str(exc)
         results.append(
             CorrelationResult(
                 dataset=dataset,
                 variant=variant,
-                r=pearson(accs, sams),
+                r=r,
                 n_points=len(accs),
                 aggregation=aggregation,
+                reason=reason,
             )
         )
     return results

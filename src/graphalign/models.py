@@ -84,6 +84,8 @@ class GcnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.learning_rate, self.dropout, self.l2_weight))):
+            raise ValueError("learning_rate, dropout and l2_weight must be finite")
         if min(self.hidden_units, self.learning_rate, self.max_epochs, self.patience) <= 0:
             raise ValueError("hidden_units, learning_rate, max_epochs, patience must be positive")
         if not 0.0 <= self.dropout < 1.0:

@@ -342,39 +342,62 @@ def dimension_grid(lo: int, hi: int, points: int) -> np.ndarray:
     return np.unique(values)
 
 
-def _sq_distances_from_grams(grams: np.ndarray, metric: str) -> np.ndarray:
+def _sq_distances_from_grams(grams: np.ndarray, metric: str, sines: bool = False) -> np.ndarray:
     """Squared grassmann or projection distances from Gram matrices of
     cross blocks (one, or a stack of equal size), whose eigenvalues are the
-    squared cosines of the principal angles."""
-    sq_cosines = np.clip(np.linalg.eigvalsh(grams), 0.0, 1.0)  # ascending
+    squared cosines of the principal angles or, with `sines`, the squared
+    sines of the angles that are not exactly zero."""
+    eigenvalues = np.clip(np.linalg.eigvalsh(grams), 0.0, 1.0)  # ascending
     if metric == "projection":
-        return 1.0 - sq_cosines[..., 0]
-    return np.sum(np.arccos(np.sqrt(sq_cosines)) ** 2, axis=-1)
+        return eigenvalues[..., -1] if sines else 1.0 - eigenvalues[..., 0]
+    angles = np.arcsin if sines else np.arccos
+    return np.sum(angles(np.sqrt(eigenvalues)) ** 2, axis=-1)
 
 
 def _sq_distance_block_grid(
-    cross: np.ndarray, rows: np.ndarray, cols: np.ndarray, metric: str
+    a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray, metric: str
 ) -> np.ndarray:
-    """Squared distances of every leading block cross[:r, :c], r in `rows`,
-    c in `cols` (both ascending), from Gram eigenvalues.
+    """Squared distances between span a[:, :r] and span b[:, :c] for every
+    r in `rows`, c in `cols` (both ascending), from Gram eigenvalues of the
+    cross product a^T b of the two orthonormal factors.
 
-    The squared cosines of cell (r, c) are the eigenvalues of the smaller
-    of its two Grams: the leading r x r block of G_c = cross[:, :c]
-    cross[:, :c]^T when r <= c (G_c is formed once per column), else the
-    c x c Gram cross[:r, :c]^T cross[:r, :c]. The c x c Grams of a column
-    share one batched eigenvalue call.
+    A cell's squared cosines are the eigenvalues of the smaller of the two
+    Grams of its block cross[:r, :c]: the leading r x r block of
+    G_c = cross[:, :c] cross[:, :c]^T when r <= c (G_c is formed once per
+    column), else the c x c Gram cross[:r, :c]^T cross[:r, :c]. When `b`
+    is square, its columns are a complete orthonormal basis, so
+    a[:, :r]^T a[:, :r] = I gives cross[:r, :c] cross[:r, :c]^T = I - W W^T
+    with W = cross[:r, c:]: the eigenvalues of the (n - c) x (n - c) Gram
+    W^T W are the squared sines of the angles that are not exactly zero,
+    and the other r - (n - c) angles are 0. A cell with n - c < r <= c
+    takes that Gram, so every cell costs one symmetric eigenvalue solve of
+    size min(r, c, n - c); the product is extended to all n columns only
+    when such a cell exists. The squared sines resolve small angles to
+    machine precision; an angle near pi/2 stays sqrt(eps)-limited for
+    grassmann on either path. The stacked Grams of one column share one
+    batched eigenvalue call.
     """
+    n = b.shape[0]
+    n_wide = np.searchsorted(rows, cols, side="right")  # rows[:n_wide[j]] are r <= c
+    n_gram = n_wide
+    if b.shape[1] == n:
+        n_gram = np.minimum(n_wide, np.searchsorted(rows, n - cols, side="right"))
+    complement = n_gram < n_wide
+    cross = a[:, : rows[-1]].T @ b[:, : n if complement.any() else cols[-1]]
     d2 = np.empty((len(rows), len(cols)))
     for j, c in enumerate(cols):
-        n_wide = int(np.searchsorted(rows, c, side="right"))
-        if n_wide:
-            lead = cross[: rows[n_wide - 1], :c]
+        if n_gram[j]:
+            lead = cross[: rows[n_gram[j] - 1], :c]
             gram_c = lead @ lead.T
-            for i, r in enumerate(rows[:n_wide]):
+            for i, r in enumerate(rows[: n_gram[j]]):
                 d2[i, j] = _sq_distances_from_grams(gram_c[:r, :r], metric)
-        if n_wide < len(rows):
-            grams = np.stack([cross[:r, :c].T @ cross[:r, :c] for r in rows[n_wide:]])
-            d2[n_wide:, j] = _sq_distances_from_grams(grams, metric)
+        if complement[j]:
+            w = np.ascontiguousarray(cross[: rows[n_wide[j] - 1], c:])
+            grams = np.stack([w[:r].T @ w[:r] for r in rows[n_gram[j] : n_wide[j]]])
+            d2[n_gram[j] : n_wide[j], j] = _sq_distances_from_grams(grams, metric, sines=True)
+        if n_wide[j] < len(rows):
+            grams = np.stack([cross[:r, :c].T @ cross[:r, :c] for r in rows[n_wide[j] :]])
+            d2[n_wide[j] :, j] = _sq_distances_from_grams(grams, metric)
     return d2
 
 
@@ -414,12 +437,19 @@ def _sq_distance_grids(
     other metrics, the cosines of the angles are the singular values of
     the cross block (Bjorck & Golub, 1973), so their squares are the
     eigenvalues of the block's Gram matrix, and a cell costs one symmetric
-    eigenvalue solve of size min(k_x, k_a) instead of an SVD. Projection
-    reads only the smallest eigenvalue, sin^2(theta_max) = 1 - lambda_min,
-    without an arccos; grassmann reads them all, theta = arccos(sqrt(lambda))
-    with lambda clipped to [0, 1]. A cosine near 0 comes from its square,
-    so grassmann resolves an angle near pi/2 only to about sqrt(eps); the
-    grid only ranks cells, and the reported distances come from
+    eigenvalue solve instead of an SVD. Projection reads only the smallest
+    eigenvalue, sin^2(theta_max) = 1 - lambda_min, without an arccos;
+    grassmann reads them all, theta = arccos(sqrt(lambda)) with lambda
+    clipped to [0, 1]. When `v` holds all n eigenvectors, a cell with
+    k_x <= k_a and k_x + k_a > n takes the Gram of the trailing block
+    instead (:func:`_sq_distance_block_grid`), of size n - k_a, whose
+    eigenvalues are squared sines: projection reads the largest,
+    grassmann theta = arcsin(sqrt(lambda)). So a cell solves at size
+    min(k_x, k_a, n - k_a). Squared sines resolve small angles to machine
+    precision, where 1 - lambda_min loses them below sqrt(eps); an angle
+    near pi/2 comes from a squared cosine or sine near 1, so grassmann
+    resolves it only to about sqrt(eps) on either path. The grid only
+    ranks cells, and the reported distances come from
     :func:`principal_angles`.
     """
     kx_max, ka_max = int(kx_grid[-1]), int(ka_grid[-1])
@@ -428,9 +458,9 @@ def _sq_distance_grids(
         return d2_xa[kx_grid - 1][:, ka_grid - 1], d2_xy[kx_grid - 1], d2_ay[ka_grid - 1]
 
     label_dim = np.array([y.shape[1]])
-    d2_xa = _sq_distance_block_grid(u[:, :kx_max].T @ v[:, :ka_max], kx_grid, ka_grid, metric)
-    d2_xy = _sq_distance_block_grid(u[:, :kx_max].T @ y, kx_grid, label_dim, metric)[:, 0]
-    d2_ay = _sq_distance_block_grid(v[:, :ka_max].T @ y, ka_grid, label_dim, metric)[:, 0]
+    d2_xa = _sq_distance_block_grid(u, v, kx_grid, ka_grid, metric)
+    d2_xy = _sq_distance_block_grid(u, y, kx_grid, label_dim, metric)[:, 0]
+    d2_ay = _sq_distance_block_grid(v, y, ka_grid, label_dim, metric)[:, 0]
     return d2_xa, d2_xy, d2_ay
 
 
@@ -508,10 +538,12 @@ def optimize_dimensions(
     (k_x, k_a): it is filled once, with one full spectrum per null, and
     every round reads its grid from it (round-1 cells bitwise equal a
     per-grid evaluation). Projection and grassmann are not sums: each cell
-    needs the eigenvalues (squared cosines) of its own Gram block, so each
-    round evaluates its grid and solves each null's full spectrum again.
-    Projection reads 1 - lambda_min, grassmann theta = arccos(sqrt(lambda)).
-    The distances and SAM at k* come from :func:`distance_matrix`.
+    needs the eigenvalues of its own Gram block, so each round evaluates
+    its grid and solves each null's full spectrum again. Every graph basis
+    is a prefix of a full spectrum, so a cell solves the smaller of its
+    Gram block and that of the block's orthogonal complement, at size
+    min(k_x, k_a, n - k_a) (:func:`_sq_distance_grids`). The distances
+    and SAM at k* come from :func:`distance_matrix`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric: {metric!r}")

@@ -214,6 +214,45 @@ def test_nonpositive_count_is_usage_error(command, flag, value, capsys):
     assert f"argument {flag}: must be a positive integer, got {value}" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--lr"),
+    ("train", "--l2"),
+    ("train", "--dropout"),
+    ("generate", "--p-in"),
+    ("generate", "--p-out"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_real_is_usage_error(command, flag, value, tmp_path, capsys):
+    outputs = ["--out-edges", str(tmp_path / "e"), "--out-features", str(tmp_path / "f")]
+    extra = {"generate": outputs, "train": ["--epochs", "3"]}[command]
+    assert cli([command, f"{flag}={value}", *extra]) == 2  # "-inf" alone reads as a flag
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number, got {value}" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_non_numeric_real_is_usage_error(capsys):
+    assert cli(["train", "--lr", "fast"]) == 2
+    assert "argument --lr: invalid number: 'fast'" in capsys.readouterr().err
+
+
+def test_correlate_reports_every_group_when_one_is_undefined(tmp_path, capsys):
+    from test_experiments import synth_row
+
+    path = tmp_path / "mixed.csv"
+    write_rows(path, [synth_row(variant="flat", percent=p, accuracy=0.5, sam_value=1.0 + p)
+                      for p in (0, 50, 100)]
+               + [synth_row(variant="line", percent=p, accuracy=1.0 - p / 100, sam_value=1.0 + p)
+                  for p in (0, 50, 100)])
+    code = cli(["correlate", str(path), "--aggregation", "point"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["d flat r=+nan n=3", "d line r=-1.0000 n=3"]
+    assert captured.err.splitlines() == [
+        "error: d flat: r is undefined: zero variance in at least one input"
+    ]
+
+
 def test_help_exits_zero(capsys):
     assert cli(["-h"]) == 0
     assert "subspace" in capsys.readouterr().out.lower()

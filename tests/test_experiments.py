@@ -218,6 +218,21 @@ def test_correlate_drops_nan_and_groups():
     assert results[1].n_points == 2
 
 
+def test_correlate_keeps_other_groups_when_one_is_flat():
+    rows = [synth_row(variant="flat", percent=p, accuracy=0.5, sam_value=1.0 + p)
+            for p in (0, 50, 100)]
+    rows += [synth_row(variant="line", percent=p, accuracy=1.0 - p / 100, sam_value=1.0 + p)
+             for p in (0, 50, 100)]
+    flat, line = correlate(rows, aggregation="point")
+    assert (flat.variant, flat.n_points) == ("flat", 3)
+    assert math.isnan(flat.r)
+    assert "variance" in flat.reason
+    assert (line.variant, line.n_points, line.reason) == ("line", 3, "")
+    assert line.r == pytest.approx(-1.0, abs=1e-12)
+    single = correlate([synth_row(accuracy=0.9)], aggregation="point")[0]
+    assert math.isnan(single.r) and single.n_points == 1 and "two points" in single.reason
+
+
 def test_csv_round_trip(tmp_path):
     rows = [synth_row(percent=p, realization=i, accuracy=0.1 * p / 100 + i,
                       sam_value=math.pi * (i + 1))

@@ -504,6 +504,19 @@ def test_config_validation():
     GcnConfig(dropout=0.0)  # boundary value is legal
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("l2_weight", float("nan")),
+    ("l2_weight", float("inf")),
+    ("dropout", float("nan")),
+])
+def test_config_rejects_nonfinite(field, value):
+    """NaN compares false to every bound, so range checks alone let it in."""
+    with pytest.raises(ValueError, match="finite"):
+        GcnConfig(**{field: value})
+
+
 def test_split_spec_validation():
     with pytest.raises(ValueError, match="cover"):
         SplitSpec(np.ones(4, bool), np.ones(4, bool), np.zeros(4, bool)).validate()

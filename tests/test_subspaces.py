@@ -35,6 +35,7 @@ from graphalign.subspaces import (
     _null_ensemble,
     _sam_grid,
     _sq_distance_grids,
+    _sq_distances_from_grams,
     graph_spectrum,
     left_singular_factor,
 )
@@ -384,10 +385,15 @@ def _generic_grid_factors():
     return u, v, y[:, :f]
 
 
+# Cells on both sides of the diagonal, one with k_x = k_a, and, with n = 30,
+# cells with k_x + k_a > n up to k_a = n - 1: on a complete graph basis those
+# read the squared sines from the Gram of the trailing block.
+GRID_KX, GRID_KA = np.array([3, 5, 9, 12]), np.array([3, 7, 15, 22, 29])
+
+
 def _assert_grid_matches_direct(u, v, y, metric):
-    # Cells on both sides of the diagonal and one with k_x = k_a.
-    kx_grid = np.array([3, 5, 9, 12])
-    ka_grid = np.array([3, 7, 15])
+    kx_grid, ka_grid = GRID_KX, GRID_KA
+    assert (kx_grid[:, None] + ka_grid[None, :] > u.shape[0]).any()
     d2_xa, d2_xy, d2_ay = _sq_distance_grids(u, v, y, kx_grid, ka_grid, metric)
     for i, kx in enumerate(kx_grid):
         bx = OrthonormalBasis(u[:, :kx])
@@ -448,6 +454,76 @@ def test_projection_grid_is_one_minus_smallest_gram_eigenvalue(data):
     )
     for d2, (b1, b2) in ((d2_xa[0, 0], (bx, ba)), (d2_xy[0], (bx, by)), (d2_ay[0], (ba, by))):
         assert abs(d2 - np.sin(principal_angles(b1, b2).angles.max()) ** 2) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_projection_grid_on_a_complete_basis_reads_the_largest_sine(data):
+    """With all n graph eigenvectors at hand, a cell with k_x <= k_a and
+    k_x + k_a > n takes sin^2 of its largest angle as the largest
+    eigenvalue of the Gram of the trailing cross block."""
+    n = data.draw(st.integers(3, 24), label="n")
+    ka = data.draw(st.integers((n + 2) // 2, n - 1), label="ka")
+    kx = data.draw(st.integers(n - ka + 1, ka), label="kx")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    v = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
+    bx, by = random_basis(rng, n, kx), random_basis(rng, n, 1)
+    d2 = _sq_distance_grids(bx.matrix, v, by.matrix, np.array([kx]), np.array([ka]),
+                            "projection")[0][0, 0]
+    theta = principal_angles(bx, OrthonormalBasis(v[:, :ka])).angles
+    assert abs(d2 - np.sin(theta.max()) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("metric", ["projection", "grassmann"])
+def test_complement_grid_resolves_small_angles(metric):
+    """u is tilted by 1e-7 out of span v[:, :ka], so no angle exceeds about
+    1e-7 and d^2 is near 1e-14. Squared cosines, with their absolute error
+    near eps, miss that by 5e-3 (projection) and 0.14 (grassmann) relative;
+    the trailing block gives the squared sines themselves, within 2e-9."""
+    rng = np.random.default_rng(31)
+    n, kx, ka = 40, 12, 33
+    v = scipy.linalg.qr(rng.standard_normal((n, n)))[0]
+    tilted = v[:, :ka] @ rng.standard_normal((ka, kx)) + 1e-7 * v[:, ka:] @ rng.standard_normal(
+        (n - ka, kx))
+    bx = OrthonormalBasis(scipy.linalg.qr(tilted, mode="economic")[0])
+    y = random_basis(rng, n, 2).matrix
+    d2 = _sq_distance_grids(bx.matrix, v, y, np.array([kx]), np.array([ka]), metric)[0][0, 0]
+    direct = subspace_distance(principal_angles(bx, OrthonormalBasis(v[:, :ka])), metric) ** 2
+    assert 0.0 < direct < 1e-12
+    assert abs(d2 - direct) <= 1e-6 * direct
+
+
+def _gram_path_grid(cross, rows, cols, metric):
+    """The block grid from Gram eigenvalues of size min(r, c), cell by cell
+    as the search evaluated it before the trailing-block path."""
+    d2 = np.empty((len(rows), len(cols)))
+    for j, c in enumerate(cols):
+        wide = rows[rows <= c]
+        if len(wide):
+            lead = cross[: wide[-1], :c]
+            gram_c = lead @ lead.T
+            for i, r in enumerate(wide):
+                d2[i, j] = _sq_distances_from_grams(gram_c[:r, :r], metric)
+        if len(wide) < len(rows):
+            grams = np.stack([cross[:r, :c].T @ cross[:r, :c] for r in rows[len(wide):]])
+            d2[len(wide):, j] = _sq_distances_from_grams(grams, metric)
+    return d2
+
+
+@pytest.mark.parametrize("metric", ["projection", "grassmann"])
+def test_grid_on_a_partial_basis_is_bitwise_the_gram_path(metric):
+    """Without all n columns, U^T U = I says nothing about the trailing
+    block, so every cell keeps the Gram of size min(k_x, k_a)."""
+    u, v, y = _generic_grid_factors()
+    v = v[:, : GRID_KA[-1]]
+    kx_max, ka_max = GRID_KX[-1], GRID_KA[-1]
+    d2_xa, d2_xy, d2_ay = _sq_distance_grids(u, v, y, GRID_KX, GRID_KA, metric)
+    label_dim = np.array([y.shape[1]])
+    assert np.array_equal(d2_xa, _gram_path_grid(u[:, :kx_max].T @ v, GRID_KX, GRID_KA, metric))
+    assert np.array_equal(d2_xy, _gram_path_grid(u[:, :kx_max].T @ y, GRID_KX, label_dim,
+                                                 metric)[:, 0])
+    assert np.array_equal(d2_ay, _gram_path_grid(v[:, :ka_max].T @ y, GRID_KA, label_dim,
+                                                 metric)[:, 0])
 
 
 def test_graph_subspace_tracks_communities(small_constructive):
