@@ -17,11 +17,9 @@ Each pass computes only the output rows it reads: a training epoch the
 training nodes (the loss), the validation pass the validation nodes
 (early stopping) and the final pass the test nodes (the accuracy). The
 output layer then uses P restricted to those rows, P_S = P[S], and the
-backward pass P_S and its transpose. The first layer relu(P X W0) stays
-full-size: the output rows read it on their 1-hop neighbourhood, which
-for the training and validation nodes covers most of a graph like the
-benchmark's, and a full-size first layer draws every dropout mask at
-full size, so the random stream does not depend on the rows. The
+backward pass P_S and its transpose. The first layer relu(P X W0) is
+computed only on the 1-hop rows of S, bit for bit as on every row
+(:class:`_Engine`, which builds every operator of a training once). The
 simplified variant slices its propagated features P^K X once per split
 part.
 """
@@ -30,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -194,20 +193,21 @@ def _model_features(dataset: Dataset, variant: str):
 
 def _dropout(x, rate: float, rng: np.random.Generator):
     """Inverted dropout; for sparse inputs the stored entries are dropped."""
-    keep = 1.0 - rate
     if sp.issparse(x):
         out = x.copy()
-        mask = rng.random(out.data.shape) < keep
-        out.data = np.where(mask, out.data / keep, 0.0)
+        out.data = _dropout(x.data, rate, rng)
         return out
+    keep = 1.0 - rate
     mask = rng.random(x.shape) < keep
     return np.where(mask, x / keep, 0.0)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place: returns `logits`, overwritten."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -215,37 +215,127 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _forward_pass(w0: np.ndarray, w1: np.ndarray, a_hat, a_rows, x, dropout: float,
-                  rng: np.random.Generator | None):
-    """The two-layer forward pass, output on the rows of `a_rows` only.
+def _csr_transpose(x: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Xᵀ as a CSR with ascending column indexes, and the permutation `perm`
+    with ``Xᵀ.data == X.data[perm]``."""
+    order = sp.csr_matrix((np.arange(x.nnz), x.indices, x.indptr), shape=x.shape).T.tocsr()
+    perm = order.data
+    return sp.csr_matrix((x.data[perm], order.indices, order.indptr), shape=order.shape), perm
 
-    `a_rows` is `a_hat` restricted to the output rows (``a_hat[rows]``, or
-    `a_hat` itself for every node). The first layer, and with it the
-    inverted dropout on both layer inputs (applied when an `rng` is given
-    and `dropout` > 0), is computed on every node.
 
-    Returns the class probabilities of the output rows and what
-    :func:`_backward` needs: the (possibly dropped-out) input features,
-    the first-layer pre-activation, the hidden layer input and the hidden
-    dropout scale (None without dropout), all for every node.
+class _Pass:
+    """One output row set's operators: P on the output rows S (`a_rows`),
+    the 1-hop rows H the first layer is read on (`hop`: the columns P_S
+    stores, every row for a dense or implicit P), P on H (`a_hop`) and a
+    zero-filled full-size hidden buffer that each pass fills on H. The
+    backward operators, P_Sᵀ as a CSR and P restricted to the columns H,
+    are built on first use."""
+
+    def __init__(self, a_hat, rows: np.ndarray, hidden: int):
+        self.a_hat = a_hat
+        self.a_rows = a_hat[rows]
+        n = a_hat.shape[0]
+        self.hop = np.unique(self.a_rows.indices) if sp.issparse(a_hat) else np.arange(n)
+        self.a_hop = a_hat[self.hop]
+        self.h = np.zeros((n, hidden))
+
+    @cached_property
+    def a_rows_t(self):
+        return self.a_rows.T.tocsr() if sp.issparse(self.a_rows) else self.a_rows.T
+
+    @cached_property
+    def a_cols(self):
+        return self.a_hat[:, self.hop] if sp.issparse(self.a_hat) else self.a_hat
+
+
+class _Engine:
+    """Forward and backward pass of the two-layer model, every operator
+    built once: one :class:`_Pass` per output row set in `rows`, and for
+    sparse features Xᵀ as a CSR plus held CSRs that dropout writes into.
+
+    A pass on the rows S computes the first layer relu(P_H X W0) on their
+    1-hop rows H only and scatters it into the hidden buffer, whose other
+    rows stay zero and are never read. A CSR product computes each row
+    alone, so P_H's rows are P's bits. The dense products ``h @ W1`` and
+    the backward ``(P_Sᵀ g) @ W1ᵀ`` stay full-size, since OpenBLAS
+    computes a row of a product differently for another number of rows.
+    Every dropout mask is drawn at full size, so the random stream does
+    not depend on the rows. So a pass returns the same bits as one that
+    computes the first layer on every row.
     """
-    use_dropout = rng is not None and dropout > 0
-    x_in = _dropout(x, dropout, rng) if use_dropout else x
-    s1 = a_hat @ (x_in @ w0)
-    h_in = np.maximum(s1, 0.0)
-    h_scale = None
-    if use_dropout:
-        keep = 1.0 - dropout
-        h_scale = (rng.random(h_in.shape) < keep) / keep
-        h_in = h_in * h_scale
-    z = _softmax_rows(a_rows @ (h_in @ w1))
-    return z, (x_in, s1, h_in, h_scale)
+
+    def __init__(self, a_hat, x, rows: dict[str, np.ndarray], hidden: int, dropout: float):
+        if sp.issparse(a_hat):
+            a_hat = a_hat.tocsr()
+        self.passes = {part: _Pass(a_hat, idx, hidden) for part, idx in rows.items()}
+        self.dropout = dropout
+        if sp.issparse(x):
+            x = x.tocsr()
+            self.x_t, self.perm = _csr_transpose(x)
+            if dropout > 0:
+                self.x_drop, self.x_drop_t = x.copy(), self.x_t.copy()
+        else:
+            self.x_t = x.T
+        self.x = x
+
+    def _inputs(self, rng: np.random.Generator | None):
+        """The input features of a pass and their transpose, dropped out
+        when an `rng` is given and the rate is positive."""
+        if rng is None or self.dropout == 0:
+            return self.x, self.x_t
+        if not sp.issparse(self.x):
+            x_in = _dropout(self.x, self.dropout, rng)
+            return x_in, x_in.T
+        self.x_drop.data[:] = _dropout(self.x.data, self.dropout, rng)
+        np.take(self.x_drop.data, self.perm, out=self.x_drop_t.data)
+        return self.x_drop, self.x_drop_t
+
+    def forward(self, w0: np.ndarray, w1: np.ndarray, part: str,
+                rng: np.random.Generator | None):
+        """Class probabilities of the rows of `part`, and the cache that
+        :meth:`backward` takes. Inverted dropout on both layer inputs
+        applies when an `rng` is given and the rate is positive."""
+        p = self.passes[part]
+        x_in, x_in_t = self._inputs(rng)
+        s1 = p.a_hop @ (x_in @ w0)
+        h = np.maximum(s1, 0.0)
+        scale = None
+        if rng is not None and self.dropout > 0:
+            keep = 1.0 - self.dropout
+            scale = (rng.random(p.h.shape)[p.hop] < keep) / keep
+            h *= scale
+        p.h[p.hop] = h
+        z = _softmax_rows(p.a_rows @ (p.h @ w1))
+        return z, (p, x_in_t, s1, scale)
+
+    def backward(self, w0: np.ndarray, w1: np.ndarray, cache: tuple, z: np.ndarray,
+                 y: np.ndarray, l2_weight: float, ce_scale: float) -> list[np.ndarray]:
+        """Gradients of (ce_scale * cross-entropy summed over the output
+        rows + L2) w.r.t. (W0, W1).
+
+        `z` and `y` hold the output rows of the pass that returned `cache`,
+        and no other pass may run in between: they share the engine's
+        buffers. The output gradient lives on the rows S alone and the
+        first-layer gradient on their 1-hop rows H, so the backward needs
+        only P_Sᵀ and P's columns H: the terms it skips are exact zeros.
+        """
+        p, x_in_t, s1, scale = cache
+        g2 = (z - y) * ce_scale
+        gw1 = (p.a_rows @ p.h).T @ g2
+        gs1 = ((p.a_rows_t @ g2) @ w1.T)[p.hop]
+        if scale is not None:
+            gs1 *= scale
+        gs1 *= s1 > 0
+        gw0 = x_in_t @ (p.a_cols @ gs1) + l2_weight * w0
+        return [np.asarray(gw0), gw1]
 
 
 def forward(model: GcnModel, a_hat, x) -> np.ndarray:
     """Class probabilities in evaluation mode, one row per node, each
     summing to one."""
-    z, _ = _forward_pass(model.w0, model.w1, a_hat, a_hat, x, 0.0, None)
+    n = a_hat.shape[0]
+    engine = _Engine(a_hat, x, {"all": np.arange(n)}, model.w0.shape[1], 0.0)
+    z, _ = engine.forward(model.w0, model.w1, "all", None)
     return z
 
 
@@ -266,41 +356,12 @@ def loss(
     zc = np.clip(z[train_mask], 1e-12, None)
     ce = -float(np.sum(y[train_mask] * np.log(zc)))
     if w0 is not None and l2_weight:
-        ce += 0.5 * l2_weight * float(np.sum(w0 * w0))
+        ce += _l2_penalty(w0, l2_weight)
     return ce
 
 
-def _backward(
-    w0: np.ndarray,
-    w1: np.ndarray,
-    a_hat,
-    a_rows,
-    cache: tuple,
-    z: np.ndarray,
-    y: np.ndarray,
-    l2_weight: float,
-    ce_scale: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of (ce_scale * cross-entropy summed over the labeled rows
-    + L2) w.r.t. (W0, W1).
-
-    `a_rows`, `z` and `y` hold the labeled rows only: `a_rows` is the
-    operator restricted to them, as :func:`_forward_pass` was given it,
-    and `cache` is what that pass returned next to `z`. The output
-    gradient lives on those rows alone, so the output layer needs only
-    the restricted operator and its transpose; the first layer's product
-    stays full-size. The hidden dropout scale in `cache` routes the
-    gradient through the dropout mask.
-    """
-    x_in, s1, h_in, h_scale = cache
-    g2 = (z - y) * ce_scale
-    gw1 = (a_rows @ h_in).T @ g2
-    gh_in = (a_rows.T @ g2) @ w1.T
-    if h_scale is not None:
-        gh_in = gh_in * h_scale
-    gs1 = gh_in * (s1 > 0)
-    gw0 = x_in.T @ (a_hat @ gs1) + l2_weight * w0
-    return np.asarray(gw0), gw1
+def _l2_penalty(w0: np.ndarray, l2_weight: float) -> float:
+    return 0.5 * l2_weight * float(np.sum(w0 * w0))
 
 
 def gradients(
@@ -317,14 +378,15 @@ def gradients(
     the rows of `train_mask`.
     """
     rows = np.flatnonzero(train_mask)
-    a_rows = a_hat[rows]
-    z, cache = _forward_pass(model.w0, model.w1, a_hat, a_rows, x, 0.0, None)
-    return _backward(model.w0, model.w1, a_hat, a_rows, cache, z, y[rows], l2_weight,
-                     ce_scale=1.0)
+    engine = _Engine(a_hat, x, {"train": rows}, model.w0.shape[1], 0.0)
+    z, cache = engine.forward(model.w0, model.w1, "train", None)
+    gw0, gw1 = engine.backward(model.w0, model.w1, cache, z, y[rows], l2_weight, ce_scale=1.0)
+    return gw0, gw1
 
 
 class _Adam:
-    """Adaptive-moment estimation with the standard defaults."""
+    """Adaptive-moment estimation with the standard defaults; updates the
+    parameters and moments in place, through two scratch arrays each."""
 
     def __init__(self, shapes, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -332,17 +394,26 @@ class _Adam:
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self.scratch = [(np.empty(s), np.empty(s)) for s in shapes]
 
     def step(self, params, grads):
+        """p -= lr·m̂/(√v̂ + eps), each product in the order of the textbook
+        expression, so the update is that expression's bits."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self.scratch):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=a)
+            v += np.multiply(a, 1.0 - self.beta2, out=a)
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, bc1, out=b)
+            b *= self.lr
+            p -= np.divide(b, a, out=b)
 
 
 def build_split(
@@ -443,38 +514,48 @@ def _fit(
     the class probabilities of that part's nodes only, plus a cache for
     ``backward_fn(weights, cache, z, y)``, which takes the probabilities
     and one-hot labels of the training nodes. No pass computes an output
-    row that nothing reads.
+    row that nothing reads, and the two-layer passes compute the first
+    layer only on the 1-hop rows of their output rows (:class:`_Engine`).
 
     Weights are drawn Glorot-uniform layer by layer for the given layer
     `widths`. Each epoch then runs the forward pass on the training nodes
     in training mode, checks the mean training loss is finite, takes one
     Adam step along the gradient, and computes the validation loss on the
-    validation nodes in evaluation mode (`rng` None). Training stops once
+    validation nodes in evaluation mode (`rng` None). The L2 penalty is
+    computed once per weight update: the validation loss after a step and
+    the next epoch's training loss read the same W0. Training stops once
     the validation loss has not improved for `patience` consecutive
     epochs; the final-epoch weights are evaluated on the test nodes.
     """
     y = one_hot(dataset.labels, dataset.num_classes)
     y_train, y_val = y[rows["train"]], y[rows["val"]]
-    n_train, n_val = len(y_train), len(y_val)
+    n_val = len(y_val)
     every = slice(None)  # z and y hold only the rows a loss sums over
 
     rng = np.random.default_rng(config.seed)
     weights = [_glorot(rng, fan_in, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
     optimizer = _Adam([w.shape for w in weights], lr=config.learning_rate)
 
+    def mean_loss(z, y_part, penalty):
+        ce = loss(z, y_part, every)
+        if config.l2_weight:
+            ce += penalty
+        return ce / len(y_part)
+
     report = TrainReport(variant=variant, seed=config.seed, epochs_run=0)
     best_val = np.inf
     stale = 0
+    penalty = _l2_penalty(weights[0], config.l2_weight)
     for epoch in range(1, config.max_epochs + 1):
         z, cache = forward_fn(weights, "train", rng)
-        train_loss = loss(z, y_train, every, weights[0], config.l2_weight) / n_train
-        report.train_losses.append(_check_finite(train_loss, epoch))
+        report.train_losses.append(_check_finite(mean_loss(z, y_train, penalty), epoch))
         optimizer.step(weights, backward_fn(weights, cache, z, y_train))
+        penalty = _l2_penalty(weights[0], config.l2_weight)
         report.epochs_run = epoch
 
         if n_val:
             z_val, _ = forward_fn(weights, "val", None)
-            val_loss = loss(z_val, y_val, every, weights[0], config.l2_weight) / n_val
+            val_loss = mean_loss(z_val, y_val, penalty)
             report.val_losses.append(_check_finite(val_loss, epoch))
             if val_loss < best_val:
                 best_val = val_loss
@@ -495,18 +576,17 @@ def _fit(
 def _gcn_model(dataset: Dataset, variant: str, config: GcnConfig,
                rows: dict[str, np.ndarray]) -> tuple[tuple[int, ...], Callable, Callable]:
     """Layer widths, forward and backward pass of a two-layer variant,
-    for :func:`_fit`. The operator is restricted to each split part's
-    rows once, up front."""
-    a_hat = propagation_operator(dataset, variant)
+    for :func:`_fit`: one :class:`_Engine` over the split parts, built
+    once per training."""
     x = _model_features(dataset, variant)
-    a_rows = {part: a_hat[idx] for part, idx in rows.items()}
+    engine = _Engine(propagation_operator(dataset, variant), x, rows,
+                     config.hidden_units, config.dropout)
 
     def forward_fn(weights, part, rng):
-        return _forward_pass(*weights, a_hat, a_rows[part], x, config.dropout, rng)
+        return engine.forward(*weights, part, rng)
 
     def backward_fn(weights, cache, z, y):
-        return _backward(*weights, a_hat, a_rows["train"], cache, z, y,
-                         config.l2_weight, ce_scale=1.0 / len(y))
+        return engine.backward(*weights, cache, z, y, config.l2_weight, ce_scale=1.0 / len(y))
 
     return (x.shape[1], config.hidden_units, dataset.num_classes), forward_fn, backward_fn
 

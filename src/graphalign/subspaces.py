@@ -361,21 +361,32 @@ def _sq_distance_block_grid(
     r in `rows`, c in `cols` (both ascending), from Gram eigenvalues of the
     cross product a^T b of the two orthonormal factors.
 
-    A cell's squared cosines are the eigenvalues of the smaller of the two
-    Grams of its block cross[:r, :c]: the leading r x r block of
-    G_c = cross[:, :c] cross[:, :c]^T when r <= c (G_c is formed once per
-    column), else the c x c Gram cross[:r, :c]^T cross[:r, :c]. When `b`
-    is square, its columns are a complete orthonormal basis, so
-    a[:, :r]^T a[:, :r] = I gives cross[:r, :c] cross[:r, :c]^T = I - W W^T
-    with W = cross[:r, c:]: the eigenvalues of the (n - c) x (n - c) Gram
-    W^T W are the squared sines of the angles that are not exactly zero,
-    and the other r - (n - c) angles are 0. A cell with n - c < r <= c
-    takes that Gram, so every cell costs one symmetric eigenvalue solve of
-    size min(r, c, n - c); the product is extended to all n columns only
-    when such a cell exists. The squared sines resolve small angles to
-    machine precision; an angle near pi/2 stays sqrt(eps)-limited for
-    grassmann on either path. The stacked Grams of one column share one
-    batched eigenvalue call.
+    This is where the grids' Gram/complement derivation is stated. The
+    cosines of the principal angles are the singular values of the cross
+    block cross[:r, :c] (Bjorck & Golub, 1973), so their squares are the
+    eigenvalues of the block's Gram matrix, and a cell costs one symmetric
+    eigenvalue solve instead of an SVD. Projection reads only the smallest
+    eigenvalue, sin^2(theta_max) = 1 - lambda_min, without an arccos;
+    grassmann reads them all, theta = arccos(sqrt(lambda)) with lambda
+    clipped to [0, 1].
+
+    A cell takes the smaller of the two Grams of its block: the leading
+    r x r block of G_c = cross[:, :c] cross[:, :c]^T when r <= c (G_c is
+    formed once per column), else the c x c Gram cross[:r, :c]^T
+    cross[:r, :c]. When `b` is square, its columns are a complete
+    orthonormal basis, so a[:, :r]^T a[:, :r] = I gives
+    cross[:r, :c] cross[:r, :c]^T = I - W W^T with W = cross[:r, c:]: the
+    eigenvalues of the (n - c) x (n - c) Gram W^T W are the squared sines
+    of the angles that are not exactly zero (projection reads the largest,
+    grassmann theta = arcsin(sqrt(lambda))), and the other r - (n - c)
+    angles are 0. A cell with n - c < r <= c takes that Gram, so every
+    cell costs one symmetric eigenvalue solve of size min(r, c, n - c);
+    the product is extended to all n columns only when such a cell exists.
+    Squared sines resolve small angles to machine precision, where
+    1 - lambda_min loses them below sqrt(eps); an angle near pi/2 comes
+    from a squared cosine or sine near 1, so grassmann resolves it only to
+    about sqrt(eps) on either path. The stacked Grams of one column share
+    one batched eigenvalue call.
     """
     n = b.shape[0]
     n_wide = np.searchsorted(rows, cols, side="right")  # rows[:n_wide[j]] are r <= c
@@ -433,23 +444,10 @@ def _sq_distance_grids(
     submatrix of the full cross-product and all cells share three matrix
     products. For the chordal metric the squared distance
     sum_j sin^2(theta_j) = alpha - ||cross||_F^2 falls out of cumulative
-    sums without any per-cell SVD (:func:`_chordal_tables`). For the
-    other metrics, the cosines of the angles are the singular values of
-    the cross block (Bjorck & Golub, 1973), so their squares are the
-    eigenvalues of the block's Gram matrix, and a cell costs one symmetric
-    eigenvalue solve instead of an SVD. Projection reads only the smallest
-    eigenvalue, sin^2(theta_max) = 1 - lambda_min, without an arccos;
-    grassmann reads them all, theta = arccos(sqrt(lambda)) with lambda
-    clipped to [0, 1]. When `v` holds all n eigenvectors, a cell with
-    k_x <= k_a and k_x + k_a > n takes the Gram of the trailing block
-    instead (:func:`_sq_distance_block_grid`), of size n - k_a, whose
-    eigenvalues are squared sines: projection reads the largest,
-    grassmann theta = arcsin(sqrt(lambda)). So a cell solves at size
-    min(k_x, k_a, n - k_a). Squared sines resolve small angles to machine
-    precision, where 1 - lambda_min loses them below sqrt(eps); an angle
-    near pi/2 comes from a squared cosine or sine near 1, so grassmann
-    resolves it only to about sqrt(eps) on either path. The grid only
-    ranks cells, and the reported distances come from
+    sums without any per-cell SVD (:func:`_chordal_tables`). The other
+    metrics take each cell from one symmetric eigenvalue solve of size
+    min(k_x, k_a, n - k_a), derived at :func:`_sq_distance_block_grid`.
+    The grid only ranks cells, and the reported distances come from
     :func:`principal_angles`.
     """
     kx_max, ka_max = int(kx_grid[-1]), int(ka_grid[-1])
@@ -538,12 +536,10 @@ def optimize_dimensions(
     (k_x, k_a): it is filled once, with one full spectrum per null, and
     every round reads its grid from it (round-1 cells bitwise equal a
     per-grid evaluation). Projection and grassmann are not sums: each cell
-    needs the eigenvalues of its own Gram block, so each round evaluates
-    its grid and solves each null's full spectrum again. Every graph basis
-    is a prefix of a full spectrum, so a cell solves the smaller of its
-    Gram block and that of the block's orthogonal complement, at size
-    min(k_x, k_a, n - k_a) (:func:`_sq_distance_grids`). The distances
-    and SAM at k* come from :func:`distance_matrix`.
+    needs the eigenvalues of its own Gram block (derived at
+    :func:`_sq_distance_block_grid`), so each round evaluates its grid and
+    solves each null's full spectrum again. The distances and SAM at k*
+    come from :func:`distance_matrix`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric: {metric!r}")

@@ -24,6 +24,7 @@ from graphalign import (
 from graphalign.models import (
     _Adam,
     _dropout,
+    _Engine,
     _gcn_model,
     _glorot,
     _model_features,
@@ -522,3 +523,185 @@ def test_split_spec_validation():
         SplitSpec(np.ones(4, bool), np.ones(4, bool), np.zeros(4, bool)).validate()
     with pytest.raises(ValueError, match="empty"):
         SplitSpec(np.zeros(4, bool), np.zeros(4, bool), np.ones(4, bool)).validate()
+
+
+# The engine that computed the first layer on every node, with a fresh
+# dropout copy and transposes each epoch, an out-of-place Adam step and
+# the L2 penalty recomputed with each loss: kept verbatim as the bit-for-bit
+# reference of the hop-restricted engine, independent of the module's helpers.
+
+def _full_layer_dropout(x, rate, rng):
+    keep = 1.0 - rate
+    if sp.issparse(x):
+        out = x.copy()
+        mask = rng.random(out.data.shape) < keep
+        out.data = np.where(mask, out.data / keep, 0.0)
+        return out
+    mask = rng.random(x.shape) < keep
+    return np.where(mask, x / keep, 0.0)
+
+
+def _full_layer_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _full_layer_forward_pass(w0, w1, a_hat, a_rows, x, dropout, rng):
+    use_dropout = rng is not None and dropout > 0
+    x_in = _full_layer_dropout(x, dropout, rng) if use_dropout else x
+    s1 = a_hat @ (x_in @ w0)
+    h_in = np.maximum(s1, 0.0)
+    h_scale = None
+    if use_dropout:
+        keep = 1.0 - dropout
+        h_scale = (rng.random(h_in.shape) < keep) / keep
+        h_in = h_in * h_scale
+    z = _full_layer_softmax(a_rows @ (h_in @ w1))
+    return z, (x_in, s1, h_in, h_scale)
+
+
+def _full_layer_backward(w0, w1, a_hat, a_rows, cache, z, y, l2_weight, ce_scale):
+    x_in, s1, h_in, h_scale = cache
+    g2 = (z - y) * ce_scale
+    gw1 = (a_rows @ h_in).T @ g2
+    gh_in = (a_rows.T @ g2) @ w1.T
+    if h_scale is not None:
+        gh_in = gh_in * h_scale
+    gs1 = gh_in * (s1 > 0)
+    gw0 = x_in.T @ (a_hat @ gs1) + l2_weight * w0
+    return np.asarray(gw0), gw1
+
+
+def _full_layer_model(dataset, variant, config, rows):
+    if variant == "sgc":
+        a_hat = propagation_operator(dataset, "sgc")
+        s = a_hat @ (a_hat @ row_normalize_features(dataset.features))
+        s_rows = {part: s[idx] for part, idx in rows.items()}
+
+        def forward_sgc(weights, part, rng):
+            return _full_layer_softmax(s_rows[part] @ weights[0]), None
+
+        def backward_sgc(weights, cache, z, y):
+            return [s_rows["train"].T @ ((z - y) / len(y)) + config.l2_weight * weights[0]]
+
+        return (s.shape[1], dataset.num_classes), forward_sgc, backward_sgc
+
+    a_hat = propagation_operator(dataset, variant)
+    x = _model_features(dataset, variant)
+    a_rows = {part: a_hat[idx] for part, idx in rows.items()}
+
+    def forward_fn(weights, part, rng):
+        return _full_layer_forward_pass(*weights, a_hat, a_rows[part], x, config.dropout, rng)
+
+    def backward_fn(weights, cache, z, y):
+        return _full_layer_backward(*weights, a_hat, a_rows["train"], cache, z, y,
+                                    config.l2_weight, ce_scale=1.0 / len(y))
+
+    return (x.shape[1], config.hidden_units, dataset.num_classes), forward_fn, backward_fn
+
+
+def _full_layer_train(dataset, variant, config, split):
+    """The early-stopping loop over the full-first-layer engine: the
+    trajectory that :func:`_trajectory` reads off a report."""
+    rows = _split_rows(split)
+    widths, forward_fn, backward_fn = _full_layer_model(dataset, variant, config, rows)
+    y = one_hot(dataset.labels, dataset.num_classes)
+    y_train, y_val = y[rows["train"]], y[rows["val"]]
+    every = slice(None)
+    rng = np.random.default_rng(config.seed)
+    weights = [_glorot(rng, a, b) for a, b in zip(widths, widths[1:])]
+    m = [np.zeros(w.shape) for w in weights]
+    v = [np.zeros(w.shape) for w in weights]
+    train_losses, val_losses = [], []
+    best_val, stale = np.inf, 0
+    for epoch in range(1, config.max_epochs + 1):
+        z, cache = forward_fn(weights, "train", rng)
+        train_losses.append(loss(z, y_train, every, weights[0], config.l2_weight) / len(y_train))
+        grads = backward_fn(weights, cache, z, y_train)
+        bc1, bc2 = 1.0 - 0.9**epoch, 1.0 - 0.999**epoch
+        for p, g, mi, vi in zip(weights, grads, m, v):
+            mi *= 0.9
+            mi += (1.0 - 0.9) * g
+            vi *= 0.999
+            vi += (1.0 - 0.999) * (g * g)
+            p -= config.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + 1e-8)
+        z_val, _ = forward_fn(weights, "val", None)
+        val_loss = loss(z_val, y_val, every, weights[0], config.l2_weight) / len(y_val)
+        val_losses.append(val_loss)
+        if val_loss < best_val:
+            best_val, stale = val_loss, 0
+        else:
+            stale += 1
+        if stale >= config.patience:
+            break
+    z_test, _ = forward_fn(weights, "test", None)
+    accuracy = float(np.mean(z_test.argmax(axis=1) == dataset.labels[rows["test"]]))
+    w1 = b"" if len(weights) == 1 else weights[1].tobytes()
+    return train_losses, val_losses, epoch, accuracy, weights[0].tobytes(), w1
+
+
+def _trajectory(report):
+    w1 = b"" if report.model.w1 is None else report.model.w1.tobytes()
+    return (report.train_losses, report.val_losses, report.epochs_run, report.test_accuracy,
+            report.model.w0.tobytes(), w1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_trajectory_is_bitwise_the_full_first_layer(constructive, variant, dropout,
+                                                             seed):
+    """Restricting the first layer to the 1-hop rows, holding the operators
+    and the dropout CSR, updating Adam in place and computing the penalty
+    once per step change no bit of the trajectory: every loss, the epoch
+    count, the accuracy and the weights are `==`. A short patience lets
+    early stopping end some runs."""
+    split = build_split(constructive.labels, seed=0)
+    config = GcnConfig(dropout=dropout, seed=seed, max_epochs=120, patience=20)
+    report = train(constructive, variant, config, split)
+    assert _trajectory(report) == _full_layer_train(constructive, variant, config, split)
+
+
+def _hop_cases():
+    isolated = make_dataset(edges=((0, 1), (1, 2), (4, 5), (5, 6), (6, 7), (2, 4)))
+    return {
+        # node 3 has no edge: its 1-hop set is itself
+        "isolated_training_node": (isolated, manual_split(8, [3, 5], [1, 6])),
+        # every node's 1-hop set is itself
+        "no_edges": (make_dataset(edges=()), manual_split(8, [0, 4], [1, 5])),
+        # the training nodes' neighbourhoods cover the graph
+        "training_hop_is_every_node": (make_dataset(), manual_split(8, [1, 2, 5, 6], [0, 7])),
+    }
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("case", sorted(_hop_cases()))
+def test_hop_edge_cases_match_full_first_layer(case, variant):
+    dataset, split = _hop_cases()[case]
+    train_rows = np.flatnonzero(split.train_mask)
+    hop = np.unique(normalized_adjacency(dataset.adjacency)[train_rows].indices)
+    expected_hop = {"isolated_training_node": [3, 4, 5, 6], "no_edges": [0, 4],
+                    "training_hop_is_every_node": list(range(8))}[case]
+    assert hop.tolist() == expected_hop
+    for seed in (0, 1):
+        config = GcnConfig(max_epochs=30, patience=10, seed=seed)
+        report = train(dataset, variant, config, split)
+        assert _trajectory(report) == _full_layer_train(dataset, variant, config, split)
+
+
+def test_complete_graph_reads_every_row(constructive):
+    """The mean-field operator mixes every node into every output row, so
+    each pass's 1-hop set is all of them."""
+    rows = _split_rows(build_split(constructive.labels, seed=0))
+    engine = _Engine(MeanFieldPropagation(constructive.n_nodes),
+                     _model_features(constructive, "complete_graph"), rows, 16, 0.5)
+    for part in rows:
+        assert np.array_equal(engine.passes[part].hop, np.arange(constructive.n_nodes))
+
+
+def test_dropout_sparse_branch_draws_the_data_vector():
+    x = sp.random(30, 20, density=0.2, format="csr", random_state=3)
+    dropped = _dropout(x, 0.4, np.random.default_rng(8))
+    assert np.array_equal(dropped.indices, x.indices)
+    assert np.array_equal(dropped.data, _dropout(x.data, 0.4, np.random.default_rng(8)))
