@@ -261,11 +261,8 @@ def largest_connected_component(dataset: Dataset) -> Dataset:
     n_comp, membership = connected_components(dataset.adjacency, directed=False)
     if n_comp <= 1:
         return dataset
-    sizes = np.bincount(membership, minlength=n_comp)
-    # np.argmax returns the first maximal component; components are labeled
-    # in order of first appearance, so this is the tie-break by smallest index.
-    first_of_max = np.flatnonzero(sizes == sizes.max())
-    winner = min(first_of_max, key=lambda c: int(np.flatnonzero(membership == c)[0]))
+    component_size = np.bincount(membership)[membership]  # per node
+    winner = membership[np.argmax(component_size == component_size.max())]
     keep = np.flatnonzero(membership == winner)
     return Dataset(
         node_ids=[dataset.node_ids[i] for i in keep],

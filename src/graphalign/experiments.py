@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 AXES = ("graph", "features", "both")
-
-CSV_HEADER = "dataset,axis,percent,realization,variant,accuracy,sam,d_xa,d_xy,d_ay,kx,ka,ky,seed"
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,13 @@ class SweepRow:
     ka: int
     ky: int
     seed: int
+
+
+# The CSV columns are SweepRow's fields in order, each with the parser its
+# annotation names. csv writes a value with str, which for a float is repr.
+_PARSERS = {"str": str, "int": int, "float": float}
+_COLUMNS = tuple((f.name, _PARSERS[f.type]) for f in fields(SweepRow))
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -217,11 +222,7 @@ def run_sweep_multi(
     else:
         cells = [_cell_rows(task) for task in tasks]
 
-    rows: dict[str, list[SweepRow]] = {metric: [] for metric in metrics}
-    for cell in cells:
-        for metric in metrics:
-            rows[metric].extend(cell[metric])
-    return rows
+    return {metric: [row for cell in cells for row in cell[metric]] for metric in metrics}
 
 
 def pearson(xs, ys) -> float:
@@ -294,14 +295,7 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
 def _write_csv(fh, rows: list[SweepRow]) -> None:
     writer = csv.writer(fh)
     writer.writerow(CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                row.dataset, row.axis, row.percent, row.realization, row.variant,
-                repr(row.accuracy), repr(row.sam), repr(row.d_xa), repr(row.d_xy),
-                repr(row.d_ay), row.kx, row.ka, row.ky, row.seed,
-            ]
-        )
+    writer.writerows(astuple(row) for row in rows)
 
 
 def write_rows(path_or_file, rows: list[SweepRow]) -> None:
@@ -325,24 +319,7 @@ def read_rows(path) -> list[SweepRow]:
             raise ValueError(f"unexpected CSV header: {header}")
         rows = []
         for record in reader:
-            if len(record) != 14:
-                raise ValueError(f"expected 14 fields, got {len(record)}: {record}")
-            rows.append(
-                SweepRow(
-                    dataset=record[0],
-                    axis=record[1],
-                    percent=int(record[2]),
-                    realization=int(record[3]),
-                    variant=record[4],
-                    accuracy=float(record[5]),
-                    sam=float(record[6]),
-                    d_xa=float(record[7]),
-                    d_xy=float(record[8]),
-                    d_ay=float(record[9]),
-                    kx=int(record[10]),
-                    ka=int(record[11]),
-                    ky=int(record[12]),
-                    seed=int(record[13]),
-                )
-            )
+            if len(record) != len(_COLUMNS):
+                raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(record)}: {record}")
+            rows.append(SweepRow(*(parse(value) for (_, parse), value in zip(_COLUMNS, record))))
     return rows

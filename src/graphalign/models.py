@@ -58,9 +58,6 @@ VARIANTS = ("gcn", "no_graph", "no_features", "complete_graph", "sgc")
 # Propagation steps K of the simplified variant.
 _SGC_DEGREE = 2
 
-# Features sparser than this are stored as CSR during training.
-_SPARSE_DENSITY_CUTOFF = 0.25
-
 
 class TrainingDiverged(RuntimeError):
     """Non-finite loss encountered; carries the epoch it happened at."""
@@ -180,15 +177,11 @@ def propagation_operator(dataset: Dataset, variant: str):
     raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
 
 
-def _model_features(dataset: Dataset, variant: str):
-    """Row-normalized input features; CSR when sparse enough."""
+def _model_features(dataset: Dataset, variant: str) -> sp.csr_matrix:
+    """Row-normalized input features as a CSR (the identity without features)."""
     if variant == "no_features":
         return sp.identity(dataset.n_nodes, format="csr")
-    x = row_normalize_features(dataset.features)
-    density = np.count_nonzero(x) / max(x.size, 1)
-    if density < _SPARSE_DENSITY_CUTOFF:
-        return sp.csr_matrix(x)
-    return x
+    return sp.csr_matrix(row_normalize_features(dataset.features))
 
 
 def _dropout(x, rate: float, rng: np.random.Generator):
@@ -251,7 +244,8 @@ class _Pass:
 class _Engine:
     """Forward and backward pass of the two-layer model, every operator
     built once: one :class:`_Pass` per output row set in `rows`, and for
-    sparse features Xᵀ as a CSR plus held CSRs that dropout writes into.
+    the CSR features `x` their transpose Xᵀ as a CSR plus held CSRs that
+    dropout writes into.
 
     A pass on the rows S computes the first layer relu(P_H X W0) on their
     1-hop rows H only and scatters it into the hidden buffer, whose other
@@ -264,28 +258,22 @@ class _Engine:
     computes the first layer on every row.
     """
 
-    def __init__(self, a_hat, x, rows: dict[str, np.ndarray], hidden: int, dropout: float):
+    def __init__(self, a_hat, x: sp.csr_matrix, rows: dict[str, np.ndarray], hidden: int,
+                 dropout: float):
         if sp.issparse(a_hat):
             a_hat = a_hat.tocsr()
         self.passes = {part: _Pass(a_hat, idx, hidden) for part, idx in rows.items()}
         self.dropout = dropout
-        if sp.issparse(x):
-            x = x.tocsr()
-            self.x_t, self.perm = _csr_transpose(x)
-            if dropout > 0:
-                self.x_drop, self.x_drop_t = x.copy(), self.x_t.copy()
-        else:
-            self.x_t = x.T
         self.x = x
+        self.x_t, self.perm = _csr_transpose(x)
+        if dropout > 0:
+            self.x_drop, self.x_drop_t = x.copy(), self.x_t.copy()
 
     def _inputs(self, rng: np.random.Generator | None):
         """The input features of a pass and their transpose, dropped out
         when an `rng` is given and the rate is positive."""
         if rng is None or self.dropout == 0:
             return self.x, self.x_t
-        if not sp.issparse(self.x):
-            x_in = _dropout(self.x, self.dropout, rng)
-            return x_in, x_in.T
         self.x_drop.data[:] = _dropout(self.x.data, self.dropout, rng)
         np.take(self.x_drop.data, self.perm, out=self.x_drop_t.data)
         return self.x_drop, self.x_drop_t
@@ -332,9 +320,9 @@ class _Engine:
 
 def forward(model: GcnModel, a_hat, x) -> np.ndarray:
     """Class probabilities in evaluation mode, one row per node, each
-    summing to one."""
+    summing to one. `x` may be dense or sparse; it enters as a CSR."""
     n = a_hat.shape[0]
-    engine = _Engine(a_hat, x, {"all": np.arange(n)}, model.w0.shape[1], 0.0)
+    engine = _Engine(a_hat, sp.csr_matrix(x), {"all": np.arange(n)}, model.w0.shape[1], 0.0)
     z, _ = engine.forward(model.w0, model.w1, "all", None)
     return z
 
@@ -375,10 +363,10 @@ def gradients(
     """Analytic gradients of :func:`loss` at the given weights, dropout off.
 
     Runs the training engine's forward and backward pass, restricted to
-    the rows of `train_mask`.
+    the rows of `train_mask`, on `x` as a CSR.
     """
     rows = np.flatnonzero(train_mask)
-    engine = _Engine(a_hat, x, {"train": rows}, model.w0.shape[1], 0.0)
+    engine = _Engine(a_hat, sp.csr_matrix(x), {"train": rows}, model.w0.shape[1], 0.0)
     z, cache = engine.forward(model.w0, model.w1, "train", None)
     gw0, gw1 = engine.backward(model.w0, model.w1, cache, z, y[rows], l2_weight, ce_scale=1.0)
     return gw0, gw1
@@ -445,13 +433,9 @@ def build_split(
         raise ValueError("train + validation fractions exceed the node count")
 
     quotas = np.full(f, math.ceil(n_train / f), dtype=int)
-    excess = int(quotas.sum()) - n_train
-    c = f - 1
-    while excess > 0:
-        if quotas[c] > 1:
-            quotas[c] -= 1
-            excess -= 1
-        c = (c - 1) % f
+    # The excess is below f, and a positive excess means every quota is at
+    # least 2, so one node comes off each of the last `excess` classes.
+    quotas[f - (int(quotas.sum()) - n_train):] -= 1
     counts = np.bincount(labels, minlength=f)
     if np.any(quotas > counts):
         short = int(np.argmax(quotas > counts))
@@ -627,12 +611,16 @@ def train(
     is evaluated, dropout off). The simplified variant ``"sgc"`` fits a
     single linear softmax layer to P^K X, K = 2, without dropout (there is
     no hidden layer to regularize). Raises :class:`TrainingDiverged` on a
-    non-finite loss.
+    non-finite loss, and ValueError for a `split` whose masks overlap,
+    leave a node out, train on no node or are not one entry per node.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
     if split is None:
         split = build_split(dataset.labels, seed=0)
+    split.validate()
+    if len(split.train_mask) != dataset.n_nodes:
+        raise ValueError("split masks must have one entry per node")
     rows = _split_rows(split)
     if variant == "sgc":
         model = _sgc_model(dataset, config, rows)

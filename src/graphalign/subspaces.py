@@ -12,6 +12,8 @@ original data and a fully randomized null ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -306,6 +308,14 @@ def sam(distances: DistanceMatrix3) -> float:
     return float(np.linalg.norm(distances.values, "fro"))
 
 
+def _alignment(basis_x: OrthonormalBasis, basis_a: OrthonormalBasis,
+               basis_y: OrthonormalBasis, metric: str) -> AlignmentResult:
+    """Distances and SAM at the dimensions of the three bases."""
+    distances = distance_matrix(basis_x, basis_a, basis_y, metric)
+    return AlignmentResult(basis_x.dim, basis_a.dim, basis_y.dim, distances, sam(distances),
+                           metric)
+
+
 def alignment_at(dataset: Dataset, kx: int, ka: int, metric: str = "chordal") -> AlignmentResult:
     """Alignment at explicitly chosen dimensions, skipping optimization.
 
@@ -313,18 +323,11 @@ def alignment_at(dataset: Dataset, kx: int, ka: int, metric: str = "chordal") ->
     enter the subspace analysis row-normalized, the same preprocessing the
     classifier sees.
     """
-    f = dataset.num_classes
-    basis_x = feature_basis(row_normalize_features(dataset.features), kx)
-    basis_a = graph_basis(normalized_adjacency(dataset.adjacency), ka)
-    basis_y = groundtruth_basis(one_hot(dataset.labels, f))
-    distances = distance_matrix(basis_x, basis_a, basis_y, metric)
-    return AlignmentResult(
-        k_star_x=kx,
-        k_star_a=ka,
-        k_star_y=basis_y.dim,
-        distances=distances,
-        sam=sam(distances),
-        metric=metric,
+    return _alignment(
+        feature_basis(row_normalize_features(dataset.features), kx),
+        graph_basis(normalized_adjacency(dataset.adjacency), ka),
+        groundtruth_basis(one_hot(dataset.labels, dataset.num_classes)),
+        metric,
     )
 
 
@@ -487,21 +490,26 @@ def _null_ensemble(
     return nulls
 
 
-def _chordal_objective_table(u_orig, v_orig, y, nulls, kx_max: int, ka_max: int) -> np.ndarray:
-    """Chordal objective, mean null SAM minus the data's SAM, at every
-    integer cell, indexed [k_x - 1, k_a - 1]. Each null's full graph
-    spectrum is solved once and dropped once its SAM has been added."""
-    def sam_table(u, v):
-        sams, d2_xy, d2_ay = _chordal_tables(u, v, y, kx_max, ka_max)
-        sams += d2_xy[:, None]
-        sams += d2_ay[None, :]
-        sams *= 2.0
-        return np.sqrt(sams, out=sams)
+def _chordal_sam_table(u: np.ndarray, v: np.ndarray, y: np.ndarray, kx_max: int,
+                       ka_max: int) -> np.ndarray:
+    """Chordal SAM at every integer cell, indexed [k_x - 1, k_a - 1], in
+    place in the buffer of :func:`_chordal_tables`."""
+    sams, d2_xy, d2_ay = _chordal_tables(u, v, y, kx_max, ka_max)
+    sams += d2_xy[:, None]
+    sams += d2_ay[None, :]
+    sams *= 2.0
+    return np.sqrt(sams, out=sams)
 
-    table = -sam_table(u_orig, v_orig)
+
+def _objective(sam_of: Callable, u: np.ndarray, v: np.ndarray, nulls) -> np.ndarray:
+    """The search objective, the mean null SAM minus the data's SAM, where
+    ``sam_of(u, v)`` gives the SAM of the feature and graph factors at the
+    cells searched. Each null's full graph spectrum is solved in turn and
+    dropped once its SAM has been added."""
+    objective = -sam_of(u, v)
     for perm, a_hat_null in nulls:
-        table += sam_table(u_orig[perm], graph_spectrum(a_hat_null)[1]) / len(nulls)
-    return table
+        objective += sam_of(u[perm], graph_spectrum(a_hat_null)[1]) / len(nulls)
+    return objective
 
 
 def optimize_dimensions(
@@ -556,44 +564,28 @@ def optimize_dimensions(
     nulls = _null_ensemble(dataset, seed, n_null)
 
     if metric == "chordal":
-        table = _chordal_objective_table(u_orig, v_orig, y, nulls, kx_hi, ka_hi)
+        table = _objective(partial(_chordal_sam_table, y=y, kx_max=kx_hi, ka_max=ka_hi),
+                           u_orig, v_orig, nulls)
 
     kx_grid = dimension_grid(f, kx_hi, grid_points)
     ka_grid = dimension_grid(f, ka_hi, grid_points)
-    kx_best = ka_best = f
     for round_index in range(rounds):
         if metric == "chordal":
             objective = table[kx_grid - 1][:, ka_grid - 1]
         else:
-            objective = -_sam_grid(u_orig, v_orig, y, kx_grid, ka_grid, metric)
-            for perm, a_hat_null in nulls:
-                _, v_null = graph_spectrum(a_hat_null)
-                objective += _sam_grid(u_orig[perm], v_null, y, kx_grid, ka_grid, metric) / n_null
-                del v_null
+            objective = _objective(
+                partial(_sam_grid, y=y, kx_grid=kx_grid, ka_grid=ka_grid, metric=metric),
+                u_orig, v_orig, nulls,
+            )
         ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
         kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
         if round_index + 1 < rounds:
             # Next round re-grids the interval between the argmax's neighbors,
             # clipped to the current grid at the boundaries.
-            kx_grid = dimension_grid(
-                int(kx_grid[max(ix - 1, 0)]),
-                int(kx_grid[min(ix + 1, len(kx_grid) - 1)]),
-                grid_points,
-            )
-            ka_grid = dimension_grid(
-                int(ka_grid[max(ia - 1, 0)]),
-                int(ka_grid[min(ia + 1, len(ka_grid) - 1)]),
-                grid_points,
+            kx_grid, ka_grid = (
+                dimension_grid(int(g[max(i - 1, 0)]), int(g[min(i + 1, len(g) - 1)]), grid_points)
+                for g, i in ((kx_grid, ix), (ka_grid, ia))
             )
 
-    basis_x = OrthonormalBasis(u_orig[:, :kx_best])
-    basis_a = OrthonormalBasis(v_orig[:, :ka_best])
-    distances = distance_matrix(basis_x, basis_a, y_basis, metric)
-    return AlignmentResult(
-        k_star_x=kx_best,
-        k_star_a=ka_best,
-        k_star_y=y_basis.dim,
-        distances=distances,
-        sam=sam(distances),
-        metric=metric,
-    )
+    return _alignment(OrthonormalBasis(u_orig[:, :kx_best]), OrthonormalBasis(v_orig[:, :ka_best]),
+                      y_basis, metric)

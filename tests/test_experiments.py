@@ -247,6 +247,28 @@ def test_csv_round_trip(tmp_path):
     assert buffer.getvalue().splitlines()[0] == CSV_HEADER
 
 
+def test_csv_round_trip_of_numpy_scalars(tmp_path):
+    """csv writes each value with str, so numpy scalars read back as the
+    Python numbers they equal."""
+    row = SweepRow("d", "both", np.int64(50), np.int64(1), "gcn", np.float64(0.5),
+                   np.float64(math.pi), np.float64(0.1), 0.2, 0.3, np.int64(5), 4, 3,
+                   np.int64(2**62))
+    path = tmp_path / "sweep.csv"
+    write_rows(path, [row])
+    assert path.read_text().splitlines()[1] == (
+        "d,both,50,1,gcn,0.5,3.141592653589793,0.1,0.2,0.3,5,4,3,4611686018427387904"
+    )
+    assert read_rows(path) == [row]
+
+
+def test_csv_header_is_the_documented_schema():
+    """The header is derived from SweepRow's fields; renaming or reordering
+    a field must not change the fixed schema unnoticed."""
+    assert CSV_HEADER == (
+        "dataset,axis,percent,realization,variant,accuracy,sam,d_xa,d_xy,d_ay,kx,ka,ky,seed"
+    )
+
+
 def test_read_rows_rejects_wrong_shape(tmp_path):
     bad_header = tmp_path / "bad_header.csv"
     bad_header.write_text("a,b,c\n1,2,3\n")

@@ -77,7 +77,7 @@ def test_forward_zero_weights_uniform(tiny_dataset):
 def test_forward_rows_sum_to_one(tiny_dataset):
     rng = np.random.default_rng(4)
     a_hat = propagation_operator(tiny_dataset, "gcn")
-    x = np.asarray(_model_features(tiny_dataset, "gcn"))
+    x = _model_features(tiny_dataset, "gcn").toarray()
     model = GcnModel(rng.standard_normal((x.shape[1], 7)), rng.standard_normal((7, 3)))
     z = forward(model, a_hat, x)
     assert np.all(z >= 0) and np.all(z <= 1)
@@ -523,6 +523,22 @@ def test_split_spec_validation():
         SplitSpec(np.ones(4, bool), np.ones(4, bool), np.zeros(4, bool)).validate()
     with pytest.raises(ValueError, match="empty"):
         SplitSpec(np.zeros(4, bool), np.zeros(4, bool), np.ones(4, bool)).validate()
+
+
+@pytest.mark.parametrize("masks, message", [
+    ((np.zeros(8, bool), np.zeros(8, bool), np.ones(8, bool)), "empty"),
+    ((np.ones(8, bool), np.eye(8, dtype=bool)[0], np.zeros(8, bool)), "cover"),
+    ((np.eye(8, dtype=bool)[0], np.eye(8, dtype=bool)[1], np.eye(8, dtype=bool)[2]), "cover"),
+    ((np.eye(6, dtype=bool)[0], np.eye(6, dtype=bool)[1], ~np.eye(6, dtype=bool)[:2].any(0)),
+     "per node"),
+], ids=["empty-train", "overlapping", "uncovered", "wrong-length"])
+def test_train_rejects_an_invalid_split(tiny_dataset, masks, message):
+    """Unchecked, an empty training mask divides by zero in the mean loss,
+    and overlapping or incomplete masks, or masks of another node count,
+    train silently."""
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match=message):
+            train(tiny_dataset, variant, GcnConfig(max_epochs=2), split=SplitSpec(*masks))
 
 
 # The engine that computed the first layer on every node, with a fresh

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from graphalign import (
 from graphalign.datasets import row_normalize_features
 from graphalign.subspaces import (
     DistanceMatrix3,
-    _chordal_objective_table,
+    _chordal_sam_table,
     _null_ensemble,
+    _objective,
     _sam_grid,
     _sq_distance_grids,
     _sq_distances_from_grams,
@@ -704,7 +706,7 @@ def test_chordal_table_first_round_is_bitwise_the_grid_evaluation(small_construc
     for perm, a_hat_null in nulls:
         _, v_null = graph_spectrum(a_hat_null)
         want += _per_grid_chordal_sam(u[perm], v_null, y, kx_grid, ka_grid) / n_null
-    table = _chordal_objective_table(u, v, y, nulls, kx_hi, ka_hi)
+    table = _objective(partial(_chordal_sam_table, y=y, kx_max=kx_hi, ka_max=ka_hi), u, v, nulls)
     assert table.shape == (kx_hi, ka_hi)
     assert np.array_equal(table[kx_grid - 1][:, ka_grid - 1], want)
 
