@@ -175,7 +175,15 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--name", help="dataset name used in outputs (default: file stem)")
     group.add_argument("--lcc", action="store_true",
                        help="restrict to the largest connected component")
-    parser.add_argument("--config", help="key = value file supplying any flag", metavar="FILE")
+
+
+def _add_search_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metric", choices=METRICS, default="chordal")
+    parser.add_argument("--nulls", type=_positive, default=100,
+                        help="null realizations (10 = quick)")
+    parser.add_argument("--grid-points", type=_positive, default=10)
+    parser.add_argument("--rounds", type=_positive, default=2)
+    parser.add_argument("--align-seed", type=_seed, default=0)
 
 
 def _resolve_dataset(args: argparse.Namespace) -> tuple[str, Dataset]:
@@ -324,16 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--out-features", required=True)
-    p.add_argument("--config", help="key = value file supplying any flag", metavar="FILE")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("align", help="optimize subspace dimensions, report the alignment")
     _add_dataset_args(p)
-    p.add_argument("--metric", choices=METRICS, default="chordal")
-    p.add_argument("--nulls", type=_positive, default=100, help="null realizations (10 = quick)")
-    p.add_argument("--grid-points", type=_positive, default=10)
-    p.add_argument("--rounds", type=_positive, default=2)
-    p.add_argument("--align-seed", type=_seed, default=0)
+    _add_search_args(p)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_align)
 
@@ -365,20 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="randomization sweep to CSV")
     _add_dataset_args(p)
+    _add_search_args(p)
     p.add_argument("--axis", choices=AXES, default="both")
     p.add_argument("--grid", type=_parse_grid, default="0:100:10",
                    help="start:stop:step (stop inclusive) or a,b,c")
     p.add_argument("--realizations", type=_positive, default=100)
     p.add_argument("--variants", type=_parse_variants, default="gcn",
                    help="comma-separated model variants")
-    p.add_argument("--metric", choices=METRICS, default="chordal")
     p.add_argument("--base-seed", type=_seed, default=0)
     p.add_argument("--kx", type=_positive, help="fix the feature dimension (skips optimization)")
     p.add_argument("--ka", type=_positive, help="fix the graph dimension (skips optimization)")
-    p.add_argument("--nulls", type=_positive, default=100)
-    p.add_argument("--grid-points", type=_positive, default=10)
-    p.add_argument("--rounds", type=_positive, default=2)
-    p.add_argument("--align-seed", type=_seed, default=0)
     p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
@@ -386,25 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="accuracy/alignment correlation from a sweep CSV")
     p.add_argument("csv", help="sweep CSV produced by the sweep subcommand")
     p.add_argument("--aggregation", choices=("percent_mean", "point"), default="percent_mean")
-    p.add_argument("--config", help="key = value file supplying any flag", metavar="FILE")
     p.set_defaults(func=_cmd_correlate)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key = value file supplying any flag", metavar="FILE")
     return parser
 
 
 def cli(argv: list[str]) -> int:
     """Run one invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        expanded = _apply_config(list(argv))
-        args = parser.parse_args(expanded)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(_apply_config(list(argv)))
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

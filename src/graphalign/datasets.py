@@ -9,6 +9,7 @@ model training) consumes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -181,11 +182,12 @@ def _read_feature_rows(
                 )
             ids.append(tokens[0])
             try:
-                rows.append([float(t) for t in tokens[1:-1]])
+                values = [float(t) for t in tokens[1:-1]]
             except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: non-numeric feature value"
-                ) from None
+                raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature value") from None
+            if not all(map(math.isfinite, values)):
+                raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
+            rows.append(values)
             try:
                 labels.append(decode_label(tokens[-1]))
             except ValueError:

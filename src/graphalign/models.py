@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -208,44 +207,30 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _csr_transpose(x: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Xᵀ as a CSR with ascending column indexes, and the permutation `perm`
-    with ``Xᵀ.data == X.data[perm]``."""
-    order = sp.csr_matrix((np.arange(x.nnz), x.indices, x.indptr), shape=x.shape).T.tocsr()
-    perm = order.data
-    return sp.csr_matrix((x.data[perm], order.indices, order.indptr), shape=order.shape), perm
-
-
 class _Pass:
-    """One output row set's operators: P on the output rows S (`a_rows`),
-    the 1-hop rows H the first layer is read on (`hop`: the columns P_S
-    stores, every row for a dense or implicit P), P on H (`a_hop`) and a
-    zero-filled full-size hidden buffer that each pass fills on H. The
-    backward operators, P_Sᵀ as a CSR and P restricted to the columns H,
-    are built on first use."""
+    """One output row set's operators, all built in ``__init__``: P on the
+    output rows S (`a_rows`) and its transpose P_Sᵀ as a view
+    (`a_rows_t`), the 1-hop rows H the first layer is read on (`hop`: the
+    columns P_S stores, every row for a dense or implicit P), P on H
+    (`a_hop`), P restricted to the columns H (`a_cols`) and a zero-filled
+    full-size hidden buffer that each pass fills on H."""
 
     def __init__(self, a_hat, rows: np.ndarray, hidden: int):
-        self.a_hat = a_hat
         self.a_rows = a_hat[rows]
+        self.a_rows_t = self.a_rows.T
         n = a_hat.shape[0]
         self.hop = np.unique(self.a_rows.indices) if sp.issparse(a_hat) else np.arange(n)
         self.a_hop = a_hat[self.hop]
+        self.a_cols = a_hat[:, self.hop] if sp.issparse(a_hat) else a_hat
         self.h = np.zeros((n, hidden))
-
-    @cached_property
-    def a_rows_t(self):
-        return self.a_rows.T.tocsr() if sp.issparse(self.a_rows) else self.a_rows.T
-
-    @cached_property
-    def a_cols(self):
-        return self.a_hat[:, self.hop] if sp.issparse(self.a_hat) else self.a_hat
 
 
 class _Engine:
     """Forward and backward pass of the two-layer model, every operator
     built once: one :class:`_Pass` per output row set in `rows`, and for
-    the CSR features `x` their transpose Xᵀ as a CSR plus held CSRs that
-    dropout writes into.
+    the CSR features `x` a held CSR that dropout writes into. Every
+    transpose is a view, and scipy sums each row of a CSC view's product
+    in the same order as a transposed copy's, so with the same bits.
 
     A pass on the rows S computes the first layer relu(P_H X W0) on their
     1-hop rows H only and scatters it into the hidden buffer, whose other
@@ -264,10 +249,10 @@ class _Engine:
             a_hat = a_hat.tocsr()
         self.passes = {part: _Pass(a_hat, idx, hidden) for part, idx in rows.items()}
         self.dropout = dropout
-        self.x = x
-        self.x_t, self.perm = _csr_transpose(x)
+        self.x, self.x_t = x, x.T
         if dropout > 0:
-            self.x_drop, self.x_drop_t = x.copy(), self.x_t.copy()
+            self.x_drop = x.copy()
+            self.x_drop_t = self.x_drop.T
 
     def _inputs(self, rng: np.random.Generator | None):
         """The input features of a pass and their transpose, dropped out
@@ -275,7 +260,6 @@ class _Engine:
         if rng is None or self.dropout == 0:
             return self.x, self.x_t
         self.x_drop.data[:] = _dropout(self.x.data, self.dropout, rng)
-        np.take(self.x_drop.data, self.perm, out=self.x_drop_t.data)
         return self.x_drop, self.x_drop_t
 
     def forward(self, w0: np.ndarray, w1: np.ndarray, part: str,
@@ -411,14 +395,17 @@ def build_split(
 ) -> SplitSpec:
     """Stratified train split plus uniform validation/test masks.
 
-    The training quota is spread evenly across classes (ceil of the ideal
-    share each, then trimmed from the highest class indexes down to hit
-    the total); validation nodes are drawn uniformly from the remainder
-    and the rest is the test set. Deterministic per seed.
+    The training quota is spread evenly across the classes that have a
+    node (ceil of the ideal share each, then trimmed from the highest
+    class indexes down to hit the total); validation nodes are drawn
+    uniformly from the remainder and the rest is the test set.
+    Deterministic per seed.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    f = int(labels.max()) + 1
+    counts = np.bincount(labels)
+    classes = np.flatnonzero(counts)
+    f = len(classes)
     f_train, f_val, _ = fractions
     n_train = int(round(n * f_train / 100.0))
     n_val = int(round(n * f_val / 100.0))
@@ -436,18 +423,16 @@ def build_split(
     # The excess is below f, and a positive excess means every quota is at
     # least 2, so one node comes off each of the last `excess` classes.
     quotas[f - (int(quotas.sum()) - n_train):] -= 1
-    counts = np.bincount(labels, minlength=f)
-    if np.any(quotas > counts):
-        short = int(np.argmax(quotas > counts))
-        raise ValueError(
-            f"class {short} has {counts[short]} nodes, fewer than its training quota {quotas[short]}"
-        )
+    short = np.flatnonzero(quotas > counts[classes])
+    if short.size:
+        c, quota = classes[short[0]], quotas[short[0]]
+        raise ValueError(f"class {c} has {counts[c]} nodes, fewer than its training quota {quota}")
 
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
-    for c in range(f):
+    for c, quota in zip(classes, quotas):
         members = np.flatnonzero(labels == c)
-        train_idx.extend(rng.choice(members, size=quotas[c], replace=False))
+        train_idx.extend(rng.choice(members, size=quota, replace=False))
     train_mask = np.zeros(n, dtype=bool)
     train_mask[train_idx] = True
 

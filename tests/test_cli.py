@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphalign
-from graphalign import alignment_at, load_dataset, read_rows, write_rows
+from graphalign import alignment_at, load_dataset, read_rows, save_dataset, write_rows
 from graphalign.cli import cli
 from graphalign.experiments import CSV_HEADER, _randomized_dataset
 
@@ -53,6 +54,28 @@ def test_train_reports_json(dataset_files, tmp_path):
     assert payload["epochs_run"] == 5
     assert 0.0 <= payload["test_accuracy"] <= 1.0
     assert payload["dataset"] == "features"  # file stem is the default name
+
+
+def test_train_on_labels_that_skip_a_class(dataset_files, tmp_path):
+    """A generic label file whose labels skip class 1 trains; the split
+    stratified over class 1 too and refused it with exit 1."""
+    ds = load_dataset(*dataset_files)
+    edges, features = tmp_path / "e.txt", tmp_path / "f.txt"
+    save_dataset(replace(ds, labels=np.where(ds.labels == 1, 0, ds.labels)), edges, features)
+    out = tmp_path / "report.json"
+    code = cli(["train", *file_args((str(edges), str(features))), "--epochs", "5",
+                "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["epochs_run"] == 5
+
+
+def test_non_finite_feature_file_exits_1(tmp_path, capsys):
+    edges, features = tmp_path / "e.txt", tmp_path / "f.txt"
+    edges.write_text("a b\n")
+    features.write_text("a 1.0 0\nb nan 1\n")
+    code = cli(["align", *file_args((str(edges), str(features))), "--nulls", "2"])
+    assert code == 1
+    assert "f.txt:2: non-finite feature value" in capsys.readouterr().err
 
 
 def test_align_quick(dataset_files, capsys):

@@ -88,6 +88,18 @@ def test_load_errors(tmp_path):
         load_dataset(edges, feats, format="generic")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_feature_value_is_reported(tmp_path, value):
+    """float() parses nan and inf; loaded, they failed the feature SVD
+    much later with "SVD did not converge"."""
+    feats, edges = tmp_path / "f.txt", tmp_path / "e.txt"
+    edges.write_text("")
+    for fmt, label in (("generic", "1"), ("cora", "Theory")):
+        feats.write_text(f"a 1.0 0.0 {label}\nb 0.5 {value} {label}\n")
+        with pytest.raises(DatasetFormatError, match=r"f\.txt:2: non-finite feature value"):
+            load_dataset(edges, feats, format=fmt)
+
+
 def test_duplicate_edges_collapse(tmp_path):
     (tmp_path / "f.txt").write_text("a 1.0 0\nb 2.0 1\nc 3.0 1\n")
     (tmp_path / "e.txt").write_text("a b\nb a\na b\nb c\n")

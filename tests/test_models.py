@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -207,6 +209,30 @@ def test_build_split_seeded():
     assert not np.array_equal(s1.train_mask, s3.train_mask) or not np.array_equal(
         s1.val_mask, s3.val_mask
     )
+
+
+def test_build_split_skips_empty_classes():
+    """Labels {0, 2} leave class 1 empty, as a label file may. The quotas
+    and draws are those of the labels {0, 1}; counting class 1 raised
+    "class 1 has 0 nodes"."""
+    labels = np.repeat([0, 2], 50)
+    split = build_split(labels, seed=3)
+    assert [split.train_mask[labels == c].sum() for c in (0, 1, 2)] == [3, 0, 2]
+    compact = build_split(labels // 2, seed=3)
+    for mask in ("train_mask", "val_mask", "test_mask"):
+        assert np.array_equal(getattr(split, mask), getattr(compact, mask))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_on_labels_that_skip_a_class(variant):
+    """The default split of a dataset whose labels skip class 1 trains,
+    with one output per class, the empty one included."""
+    base = make_dataset(n=40)
+    dataset = replace(base, labels=base.labels * 2, num_classes=3)
+    report = train(dataset, variant, GcnConfig(max_epochs=5))
+    assert report.epochs_run == 5
+    assert (report.model.w0 if variant == "sgc" else report.model.w1).shape[1] == 3
+    assert 0.0 <= report.test_accuracy <= 1.0
 
 
 def test_train_deterministic(tiny_dataset):
@@ -681,6 +707,10 @@ def test_training_trajectory_is_bitwise_the_full_first_layer(constructive, varia
 
 def _hop_cases():
     isolated = make_dataset(edges=((0, 1), (1, 2), (4, 5), (5, 6), (6, 7), (2, 4)))
+    sparse_x = make_dataset()
+    features = sparse_x.features.copy()
+    features[2] = 0.0
+    features[:, 1] = 0.0
     return {
         # node 3 has no edge: its 1-hop set is itself
         "isolated_training_node": (isolated, manual_split(8, [3, 5], [1, 6])),
@@ -688,6 +718,10 @@ def _hop_cases():
         "no_edges": (make_dataset(edges=()), manual_split(8, [0, 4], [1, 5])),
         # the training nodes' neighbourhoods cover the graph
         "training_hop_is_every_node": (make_dataset(), manual_split(8, [1, 2, 5, 6], [0, 7])),
+        # node 2 trains on an all-zero feature row, and feature 1 is zero on
+        # every node: X and its transposes store an empty row and column
+        "zero_feature_row_and_column": (replace(sparse_x, features=features),
+                                        manual_split(8, [2, 5], [0, 7])),
     }
 
 
@@ -698,7 +732,8 @@ def test_hop_edge_cases_match_full_first_layer(case, variant):
     train_rows = np.flatnonzero(split.train_mask)
     hop = np.unique(normalized_adjacency(dataset.adjacency)[train_rows].indices)
     expected_hop = {"isolated_training_node": [3, 4, 5, 6], "no_edges": [0, 4],
-                    "training_hop_is_every_node": list(range(8))}[case]
+                    "training_hop_is_every_node": list(range(8)),
+                    "zero_feature_row_and_column": [1, 2, 3, 4, 5, 6]}[case]
     assert hop.tolist() == expected_hop
     for seed in (0, 1):
         config = GcnConfig(max_epochs=30, patience=10, seed=seed)
