@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Dataset",
@@ -119,17 +118,23 @@ class ConstructiveSpec:
 
 
 def _edges_to_adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
-    """Symmetric 0/1 CSR matrix from an (m, 2) array of distinct i < j pairs."""
-    if len(edges) == 0:
-        return sp.csr_matrix((n, n))
-    a = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    a = (a + a.T).tocsr()
+    """Symmetric 0/1 CSR matrix of the simple graph on an (m, 2) array of
+    node pairs: self-loops drop, and repeated or reversed pairs collapse."""
+    u, v = edges[edges[:, 0] != edges[:, 1]].T
+    a = sp.csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
     a.data[:] = 1.0
     return a
 
 
-def _read_edge_list(path: Path, index: dict[str, int]) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
+def _edge_array(adjacency: sp.spmatrix) -> np.ndarray:
+    """Undirected edges as an (m, 2) array of index pairs with i < j."""
+    coo = sp.triu(adjacency, k=1).tocoo()
+    return np.column_stack([coo.row, coo.col]).astype(np.int64)
+
+
+def _read_edge_list(path: Path, index: dict[str, int]) -> np.ndarray:
+    """The file's (u, v) index pairs, as written, as an (m, 2) array."""
+    edges: list[tuple[int, int]] = []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
@@ -140,15 +145,12 @@ def _read_edge_list(path: Path, index: dict[str, int]) -> set[tuple[int, int]]:
                     f"{path}:{lineno}: expected two node ids, got {len(tokens)} tokens"
                 )
             try:
-                u, v = index[tokens[0]], index[tokens[1]]
+                edges.append((index[tokens[0]], index[tokens[1]]))
             except KeyError as exc:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: unknown node id {exc.args[0]!r}"
                 ) from None
-            if u == v:
-                continue  # self-loop: dropped
-            edges.add((min(u, v), max(u, v)))
-    return edges
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def _read_feature_rows(
@@ -230,11 +232,10 @@ def load_dataset(edges_path: str | Path, features_path: str | Path,
     if len(set(ids)) != len(ids):
         raise DatasetFormatError(f"{features_path}: duplicate node ids")
     index = {node: i for i, node in enumerate(ids)}
-    edges = np.array(sorted(_read_edge_list(edges_path, index)), dtype=np.int64).reshape(-1, 2)
     d = Dataset(
         node_ids=ids,
         features=features,
-        adjacency=_edges_to_adjacency(len(ids), edges),
+        adjacency=_edges_to_adjacency(len(ids), _read_edge_list(edges_path, index)),
         labels=labels,
         num_classes=num_classes,
     )
@@ -248,9 +249,8 @@ def save_dataset(dataset: Dataset, edges_path: str | Path, features_path: str | 
         for i, node in enumerate(dataset.node_ids):
             values = " ".join(repr(float(v)) for v in dataset.features[i])
             fh.write(f"{node} {values} {int(dataset.labels[i])}\n")
-    coo = sp.triu(dataset.adjacency, k=1).tocoo()
     with Path(edges_path).open("w", encoding="utf-8") as fh:
-        for i, j in zip(coo.row, coo.col):
+        for i, j in _edge_array(dataset.adjacency):
             fh.write(f"{dataset.node_ids[i]} {dataset.node_ids[j]}\n")
 
 
@@ -260,6 +260,8 @@ def largest_connected_component(dataset: Dataset) -> Dataset:
     Ties between equally large components go to the one containing the
     smallest node index, so the result is deterministic.
     """
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, membership = connected_components(dataset.adjacency, directed=False)
     if n_comp <= 1:
         return dataset
@@ -288,35 +290,36 @@ def generate_constructive(spec: ConstructiveSpec) -> Dataset:
     n, k = spec.n_nodes, spec.n_communities
     block = n // k
     labels = np.repeat(np.arange(k), block)
+    feature_owner = np.repeat(np.arange(k), spec.features_per_community)
 
+    # Both streams are drawn one community row block at a time: the same
+    # numbers, in the same order, as one n x n (and n x C) draw.
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0)))
-    same_community = labels[:, None] == labels[None, :]
-    prob = np.where(same_community, spec.p_in, spec.p_out)
-    draw = rng.random((n, n))
-    upper = np.triu(draw < prob, k=1)
-    adjacency = sp.csr_matrix(np.logical_or(upper, upper.T).astype(np.float64))
-
     rng_feat = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
-    feat_block = spec.features_per_community
-    feature_owner = np.repeat(np.arange(k), feat_block)
-    feat_prob = np.where(labels[:, None] == feature_owner[None, :], spec.p_in, spec.p_out)
-    features = (rng_feat.random((n, spec.n_features)) < feat_prob).astype(np.float64)
+    features = np.empty((n, spec.n_features))
+    pairs = []
+    for c, start in enumerate(range(0, n, block)):
+        prob = np.where(labels == c, spec.p_in, spec.p_out)
+        feat_prob = np.where(feature_owner == c, spec.p_in, spec.p_out)
+        rows, cols = np.nonzero(np.triu(rng.random((block, n)) < prob, k=start + 1))
+        pairs.append(np.column_stack([rows + start, cols]))
+        features[start:start + block] = rng_feat.random((block, spec.n_features)) < feat_prob
 
     return Dataset(
         node_ids=[f"n{i}" for i in range(n)],
         features=features,
-        adjacency=adjacency,
+        adjacency=_edges_to_adjacency(n, np.concatenate(pairs)),
         labels=labels,
         num_classes=k,
     )
 
 
 def row_normalize_features(features: np.ndarray) -> np.ndarray:
-    """Scale each row to sum to 1; all-zero rows stay zero."""
+    """Scale each row to unit L1 norm, the row over its sum when no entry
+    is negative; all-zero rows stay zero."""
     x = np.asarray(features, dtype=np.float64)
-    sums = x.sum(axis=1, keepdims=True)
-    out = np.divide(x, sums, out=np.zeros_like(x), where=sums != 0)
-    return out
+    norms = np.abs(x).sum(axis=1, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms != 0)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

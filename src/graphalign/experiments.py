@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -217,6 +216,8 @@ def run_sweep_multi(
         for realization in range(spec.realizations)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_cell_rows, tasks, chunksize=1))
     else:

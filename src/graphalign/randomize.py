@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import _edges_to_adjacency
+from .datasets import _edge_array, _edges_to_adjacency
 
 __all__ = [
     "randomize_graph",
@@ -30,12 +30,6 @@ def derive_seed(base_seed: int, *parts: int) -> int:
     """
     ss = np.random.SeedSequence((base_seed, *parts))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _edge_array(adjacency: sp.spmatrix) -> np.ndarray:
-    """Undirected edges as an (m, 2) array of index pairs with i < j."""
-    coo = sp.triu(adjacency, k=1).tocoo()
-    return np.column_stack([coo.row, coo.col]).astype(np.int64)
 
 
 def rewire_stubs(edges: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -70,16 +64,10 @@ def randomize_graph(adjacency: sp.spmatrix, p_graph: float, seed: int) -> sp.csr
 
     rng = np.random.default_rng(seed)
     chosen = rng.choice(m, size=n_rewire, replace=False)
-    keep_mask = np.ones(m, dtype=bool)
-    keep_mask[chosen] = False
     rewired = rewire_stubs(edges[chosen], rng)
-
-    # Drop the pairing's self-loops, then parallel edges by unique i * n + j keys.
-    rewired = np.sort(rewired[rewired[:, 0] != rewired[:, 1]], axis=1)
-    n = adjacency.shape[0]
-    pairs = np.concatenate([edges[keep_mask], rewired])
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-    return _edges_to_adjacency(n, np.column_stack(np.divmod(keys, n)))
+    kept = np.delete(edges, chosen, axis=0)
+    # The builder drops the pairing's self-loops and parallel edges.
+    return _edges_to_adjacency(adjacency.shape[0], np.concatenate([kept, rewired]))
 
 
 def feature_permutation(n_rows: int, p_features: float, seed: int) -> np.ndarray:

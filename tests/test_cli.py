@@ -259,6 +259,16 @@ def test_non_numeric_real_is_usage_error(capsys):
     assert "argument --lr: invalid number: 'fast'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["align", "--nulls", "ten"], "argument --nulls: invalid integer: 'ten'"),
+    (["sweep", "--grid", "0:100:0"], "argument --grid: cannot parse grid '0:100:0'"),
+    (["sweep", "--grid", "0:a:10"], "argument --grid: cannot parse grid '0:a:10'"),
+])
+def test_unparsable_count_or_grid_is_usage_error(argv, message, capsys):
+    assert cli(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_correlate_reports_every_group_when_one_is_undefined(tmp_path, capsys):
     from test_experiments import synth_row
 
@@ -300,6 +310,31 @@ def test_config_file_supplies_and_cli_overrides(dataset_files, tmp_path, capsys)
                 "--epochs", "5"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["epochs_run"] == 5
+
+
+@pytest.mark.parametrize("value, nodes", [("yes", 3), ("ON", 3), ("off", 4), ("0", 4)])
+def test_config_lcc_switch(value, nodes, tmp_path, capsys):
+    """`lcc = <true word>` restricts to the largest component; a false
+    word leaves the dataset whole."""
+    feats, edges = tmp_path / "f.txt", tmp_path / "e.txt"
+    feats.write_text("a 1.0 0\nb 2.0 1\nc 3.0 1\nd 0.5 0\n")
+    edges.write_text("a b\nb c\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"lcc = {value}\n")
+    out_edges, out_feats = tmp_path / "oe.txt", tmp_path / "of.txt"
+    code = cli(["randomize", "--dataset", "files", "--edges", str(edges), "--features", str(feats),
+                "--axis", "graph", "--percent", "0", "--out-edges", str(out_edges),
+                "--out-features", str(out_feats), "--config", str(cfg)])
+    assert code == 0
+    capsys.readouterr()
+    assert load_dataset(out_edges, out_feats).n_nodes == nodes
+
+
+def test_config_lcc_switch_rejects_other_words(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lcc = maybe\n")
+    assert cli(["align", "--config", str(cfg)]) == 2
+    assert f"{cfg}: lcc must be true or false, got 'maybe'" in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -18,6 +18,7 @@ from graphalign import (
     row_normalize_features,
     save_dataset,
 )
+from graphalign.datasets import _edges_to_adjacency
 from graphalign.models import _model_features
 
 from conftest import make_dataset
@@ -204,6 +205,25 @@ def test_row_normalize():
     assert np.array_equal(x[1], [0.0, 0.0])  # input untouched
 
 
+def test_row_normalize_signed_rows_use_the_l1_norm():
+    """A signed row whose entries sum to zero keeps its values."""
+    out = row_normalize_features([[1, -1], [2, -1], [1, 1]])
+    assert np.array_equal(out, [[0.5, -0.5], [2 / 3, -1 / 3], [0.5, 0.5]])
+
+
+def test_row_normalize_nonnegative_rows_are_row_over_sum():
+    """On nonnegative rows (-0.0 included) the L1 scaling is bitwise the
+    row divided by its sum."""
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.random((30, 17)) * (rng.random((30, 17)) < 0.3)
+        x[:5] = rng.random((5, 17)) < 0.2  # binary rows, as generated or Cora
+        x[5], x[6], x[7, ::2] = 0.0, -0.0, -0.0
+        sums = x.sum(axis=1, keepdims=True)
+        want = np.divide(x, sums, out=np.zeros_like(x), where=sums != 0)
+        assert row_normalize_features(x).tobytes() == want.tobytes()
+
+
 def test_one_hot():
     y = one_hot(np.array([0, 2, 1]), 3)
     assert y.shape == (3, 3)
@@ -227,3 +247,121 @@ def test_limiting_cases(tiny_dataset):
     assert np.abs(MeanFieldPropagation(n) @ m - complete @ m).max() <= 1e-14
     no_features = _model_features(tiny_dataset, "no_features")
     assert np.array_equal(no_features.toarray(), np.eye(n))
+
+
+def _csr_arrays(a):
+    return [(getattr(a, name).tobytes(), getattr(a, name).dtype)
+            for name in ("indptr", "indices", "data")] + [a.shape, a.has_sorted_indices]
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (1, 3), (4, 4), (1, 3)],
+    [(2, 2), (0, 0), (2, 2)],
+    [],
+    [(4, 3), (2, 1), (0, 4)],
+])
+def test_edges_to_adjacency_builds_the_simple_graph(pairs):
+    """Self-loops drop and repeated or reversed pairs collapse: any pairs
+    give the CSR arrays of their deduplicated i < j set, which are those
+    of the dense symmetric 0/1 matrix."""
+    n = 5
+    simple = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    dense = np.zeros((n, n))
+    for i, j in simple:
+        dense[i, j] = dense[j, i] = 1.0
+    got = _edges_to_adjacency(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    want = _edges_to_adjacency(n, np.array(simple, dtype=np.int64).reshape(-1, 2))
+    assert _csr_arrays(got) == _csr_arrays(want) == _csr_arrays(sp.csr_matrix(dense))
+
+
+def test_edges_to_adjacency_on_random_multisets():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
+        simple = sorted({(min(u, v), max(u, v)) for u, v in pairs.tolist() if u != v})
+        want = _edges_to_adjacency(n, np.array(simple, dtype=np.int64).reshape(-1, 2))
+        assert _csr_arrays(_edges_to_adjacency(n, pairs)) == _csr_arrays(want)
+
+
+def _dense_generate_constructive(spec: ConstructiveSpec):
+    """The generator as it was written with one n x n and one n x C draw."""
+    n, k = spec.n_nodes, spec.n_communities
+    labels = np.repeat(np.arange(k), n // k)
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0)))
+    prob = np.where(labels[:, None] == labels[None, :], spec.p_in, spec.p_out)
+    upper = np.triu(rng.random((n, n)) < prob, k=1)
+    adjacency = sp.csr_matrix(np.logical_or(upper, upper.T).astype(np.float64))
+    rng_feat = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
+    feature_owner = np.repeat(np.arange(k), spec.features_per_community)
+    feat_prob = np.where(labels[:, None] == feature_owner[None, :], spec.p_in, spec.p_out)
+    features = (rng_feat.random((n, spec.n_features)) < feat_prob).astype(np.float64)
+    return adjacency, features, labels
+
+
+@pytest.mark.parametrize("spec", [
+    ConstructiveSpec(seed=0),
+    ConstructiveSpec(seed=1),
+    ConstructiveSpec(seed=2),
+    ConstructiveSpec(p_in=1.0, p_out=0.0),
+    ConstructiveSpec(p_in=0.0, p_out=0.0),
+])
+def test_generate_constructive_matches_dense_draw(spec):
+    """Drawing one community row block at a time gives the bits of one
+    n x n draw."""
+    adjacency, features, labels = _dense_generate_constructive(spec)
+    ds = generate_constructive(spec)
+    assert _csr_arrays(ds.adjacency) == _csr_arrays(adjacency)
+    assert ds.features.dtype == features.dtype
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"node_ids": ["v0"] * 8}, "not unique"),
+    ({"features": np.zeros((7, 4))}, "features/labels length"),
+    ({"labels": np.zeros(9, dtype=int)}, "features/labels length"),
+    ({"adjacency": sp.csr_matrix((8, 9))}, "adjacency shape"),
+    ({"adjacency": 2 * make_dataset().adjacency}, "0/1"),
+    ({"labels": np.array([0, 1, 2, 0, 1, 0, 1, 0])}, "labels out of range"),
+    ({"labels": -np.ones(8, dtype=int)}, "labels out of range"),
+])
+def test_validate_rejects_each_invariant(change, message):
+    ds = make_dataset()
+    bad = Dataset(**{**{name: getattr(ds, name) for name in
+                        ("node_ids", "features", "adjacency", "labels", "num_classes")}, **change})
+    with pytest.raises(ValueError, match=message):
+        bad.validate()
+
+
+def test_load_rejects_unknown_format_duplicate_ids_and_empty_features(tmp_path):
+    feats, edges = tmp_path / "f.txt", tmp_path / "e.txt"
+    edges.write_text("")
+    feats.write_text("a 1.0 0\nb 2.0 1\n")
+    with pytest.raises(ValueError, match="unknown dataset format: 'csv'"):
+        load_dataset(edges, feats, format="csv")
+    feats.write_text("a 1.0 0\nb 2.0 1\na 3.0 1\n")
+    with pytest.raises(DatasetFormatError, match="duplicate node ids"):
+        load_dataset(edges, feats)
+    feats.write_text("\n\n")
+    for fmt, kind in (("generic", "features"), ("cora", "content")):
+        with pytest.raises(DatasetFormatError, match=f"empty {kind} file"):
+            load_dataset(edges, feats, format=fmt)
+
+
+def test_loaded_edges_drop_self_loops_and_collapse_pairs(tmp_path):
+    """Repeated, reversed and self-loop lines give the graph of the
+    distinct i < j pairs, whatever order the lines come in."""
+    feats, edges = tmp_path / "f.txt", tmp_path / "e.txt"
+    feats.write_text("a 1.0 0\nb 2.0 1\nc 3.0 1\nd 0.5 0\n")
+    edges.write_text("d c\nc d\na a\nb a\na b\nb d\nd b\nd d\n")
+    ds = load_dataset(edges, feats)
+    want = _edges_to_adjacency(4, np.array([[0, 1], [1, 3], [2, 3]]))
+    assert _csr_arrays(ds.adjacency) == _csr_arrays(want)
+    edges.write_text("c c\n")
+    assert load_dataset(edges, feats).n_edges == 0
+
+
+def test_largest_connected_component_of_a_connected_graph_is_the_dataset():
+    ds = make_dataset()
+    assert largest_connected_component(ds) is ds

@@ -235,6 +235,21 @@ def test_train_on_labels_that_skip_a_class(variant):
     assert 0.0 <= report.test_accuracy <= 1.0
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_without_validation_or_test_nodes(variant):
+    """No validation nodes: every epoch runs and its validation loss is
+    NaN. No test nodes: the test accuracy is None."""
+    ds = make_dataset(n=40)
+    config = GcnConfig(max_epochs=6, patience=1)
+    no_val = train(ds, variant, config, build_split(ds.labels, fractions=(10, 0, 90)))
+    assert no_val.epochs_run == 6 and len(no_val.val_losses) == 6
+    assert all(np.isnan(no_val.val_losses))
+    assert 0.0 <= no_val.test_accuracy <= 1.0
+    no_test = train(ds, variant, config, build_split(ds.labels, fractions=(10, 90, 0)))
+    assert no_test.test_accuracy is None
+    assert len(no_test.val_losses) == no_test.epochs_run
+
+
 def test_train_deterministic(tiny_dataset):
     split = manual_split(8, [0, 4], [1, 5])
     config = GcnConfig(max_epochs=25, seed=3)
