@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -23,14 +24,12 @@ from .randomize import derive_seed, feature_permutation, randomize_graph
 from .subspaces import (
     METRICS,
     AlignmentResult,
-    DistanceMatrix3,
     OrthonormalBasis,
+    _alignment,
     feature_basis,
     graph_basis,
     groundtruth_basis,
     normalized_adjacency,
-    principal_angles,
-    sam,
 )
 
 __all__ = [
@@ -65,6 +64,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ValueError(f"unknown axis: {self.axis!r} (expected one of {AXES})")
+        if not all(isinstance(p, Integral) for p in self.percents):
+            raise ValueError(f"percents must be integers, got {self.percents!r}")
+        if not isinstance(self.realizations, Integral):
+            raise ValueError(f"realizations must be an integer, got {self.realizations!r}")
         if not self.percents or any(not 0 <= p <= 100 for p in self.percents):
             raise ValueError("percent grid must be nonempty and lie within [0, 100]")
         if self.realizations < 1:
@@ -99,6 +102,8 @@ class SweepRow:
 _PARSERS = {"str": str, "int": int, "float": float}
 _COLUMNS = tuple((f.name, _PARSERS[f.type]) for f in fields(SweepRow))
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+# Columns that one experiment holds fixed, so one correlation never pools two.
+_EXPERIMENT_COLUMNS = ("axis", "kx", "ka", "ky")
 
 
 @dataclass(frozen=True)
@@ -132,21 +137,19 @@ def _randomized_dataset(dataset: Dataset, axis: str, percent: int,
 def _cell_rows(args) -> dict[str, list[SweepRow]]:
     """All rows for one (percent, realization) cell, keyed by metric.
 
-    The randomization, the principal angles and one training per variant
-    are shared across metrics; only the angle-to-distance reduction
-    differs. `basis_x` and `basis_y` are the sweep's feature and label
-    bases of the original data; `basis_x` with the rows permuted as the
-    cell permutes its features is bitwise that cell's feature basis (see
-    `left_singular_factor`). Module-level so worker processes can unpickle it.
+    The randomization, the three bases and one training per variant are
+    shared across metrics; each metric's distances, SAM and dimensions
+    come from one `_alignment` of the bases. `basis_x` and `basis_y` are
+    the sweep's feature and label bases of the original data; `basis_x`
+    with the rows permuted as the cell permutes its features is bitwise
+    that cell's feature basis (see `left_singular_factor`). Module-level
+    so worker processes can unpickle it.
     """
     spec, dims, metrics, split, basis_x, basis_y, percent, realization = args
     ds, rows = _randomized_dataset(spec.dataset, spec.axis, percent, spec.base_seed, realization)
 
     basis_x = OrthonormalBasis(basis_x.matrix[rows])
     basis_a = graph_basis(normalized_adjacency(ds.adjacency), dims.k_star_a)
-    th_xa = principal_angles(basis_x, basis_a)
-    th_xy = principal_angles(basis_x, basis_y)
-    th_ay = principal_angles(basis_a, basis_y)
 
     accuracies: dict[str, tuple[float, int]] = {}
     for index, variant in enumerate(spec.variants):
@@ -161,25 +164,13 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
 
     out: dict[str, list[SweepRow]] = {}
     for metric in metrics:
-        distances = DistanceMatrix3.from_angles(th_xa, th_xy, th_ay, metric)
-        sam_value = sam(distances)
+        result = _alignment(basis_x, basis_a, basis_y, metric)
+        d = result.distances
         out[metric] = [
-            SweepRow(
-                dataset=spec.name,
-                axis=spec.axis,
-                percent=percent,
-                realization=realization,
-                variant=variant,
-                accuracy=accuracies[variant][0],
-                sam=sam_value,
-                d_xa=distances.d_xa,
-                d_xy=distances.d_xy,
-                d_ay=distances.d_ay,
-                kx=dims.k_star_x,
-                ka=dims.k_star_a,
-                ky=dims.k_star_y,
-                seed=accuracies[variant][1],
-            )
+            SweepRow(dataset=spec.name, axis=spec.axis, percent=percent, realization=realization,
+                     variant=variant, accuracy=accuracies[variant][0], sam=result.sam,
+                     d_xa=d.d_xa, d_xy=d.d_xy, d_ay=d.d_ay, kx=result.k_star_x,
+                     ka=result.k_star_a, ky=result.k_star_y, seed=accuracies[variant][1])
             for variant in spec.variants
         ]
     return out
@@ -255,7 +246,8 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
     alignment (one point per grid percent); ``point`` correlates the raw
     realizations. Rows with NaN accuracy (diverged trainings) are dropped
     first. A group that degenerates (fewer than two points or zero
-    variance) gets r = NaN and the reason, so the other groups keep theirs.
+    variance), or that pools experiments (rows that differ in axis or
+    dimensions), gets r = NaN and the reason, so the other groups keep theirs.
     """
     if aggregation not in ("percent_mean", "point"):
         raise ValueError(f"unknown aggregation: {aggregation!r}")
@@ -276,20 +268,16 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
         else:
             accs = [r.accuracy for r in members]
             sams = [r.sam for r in members]
+        mixed = ", ".join(name for name in _EXPERIMENT_COLUMNS
+                          if len({getattr(row, name) for row in members}) > 1)
         try:
+            if mixed:
+                raise ValueError(f"rows mix {mixed} values; correlate one experiment at a time")
             r, reason = pearson(accs, sams), ""
         except ValueError as exc:
             r, reason = math.nan, str(exc)
-        results.append(
-            CorrelationResult(
-                dataset=dataset,
-                variant=variant,
-                r=r,
-                n_points=len(accs),
-                aggregation=aggregation,
-                reason=reason,
-            )
-        )
+        results.append(CorrelationResult(dataset=dataset, variant=variant, r=r, n_points=len(accs),
+                                         aggregation=aggregation, reason=reason))
     return results
 
 

@@ -183,12 +183,9 @@ def _model_features(dataset: Dataset, variant: str) -> sp.csr_matrix:
     return sp.csr_matrix(row_normalize_features(dataset.features))
 
 
-def _dropout(x, rate: float, rng: np.random.Generator):
-    """Inverted dropout; for sparse inputs the stored entries are dropped."""
-    if sp.issparse(x):
-        out = x.copy()
-        out.data = _dropout(x.data, rate, rng)
-        return out
+def _dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted dropout of a dense array; a CSR's stored entries are its
+    `data` vector (see `_Engine._inputs`)."""
     keep = 1.0 - rate
     mask = rng.random(x.shape) < keep
     return np.where(mask, x / keep, 0.0)

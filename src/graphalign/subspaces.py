@@ -94,14 +94,6 @@ class DistanceMatrix3:
     def d_ay(self) -> float:
         return float(self.values[1, 2])
 
-    @classmethod
-    def from_angles(cls, th_xa, th_xy, th_ay, metric: str = "chordal") -> DistanceMatrix3:
-        """Arrange the distances of three pairwise angle sets symmetrically."""
-        d_xa = subspace_distance(th_xa, metric)
-        d_xy = subspace_distance(th_xy, metric)
-        d_ay = subspace_distance(th_ay, metric)
-        return cls(np.array([[0.0, d_xa, d_xy], [d_xa, 0.0, d_ay], [d_xy, d_ay, 0.0]]))
-
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -134,7 +126,8 @@ def normalized_adjacency(adjacency: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
     degrees after the self-loops are added, so every diagonal entry of D
     is at least one and the inverse square root always exists. This is
     the one builder of the operator: the subspace analysis and the
-    classifiers both use it, and only :func:`graph_spectrum` densifies it.
+    classifiers both use it, and only the eigensolvers
+    (:func:`graph_spectrum`, :func:`graph_basis`) densify it.
     """
     a_tilde = sp.csr_matrix(adjacency, dtype=np.float64) + sp.identity(
         adjacency.shape[0], format="csr"
@@ -295,12 +288,9 @@ def distance_matrix(
     metric: str = "chordal",
 ) -> DistanceMatrix3:
     """All pairwise subspace distances, arranged symmetrically."""
-    return DistanceMatrix3.from_angles(
-        principal_angles(basis_x, basis_a),
-        principal_angles(basis_x, basis_y),
-        principal_angles(basis_a, basis_y),
-        metric,
-    )
+    d_xa, d_xy, d_ay = (subspace_distance(principal_angles(b1, b2), metric)
+                        for b1, b2 in ((basis_x, basis_a), (basis_x, basis_y), (basis_a, basis_y)))
+    return DistanceMatrix3(np.array([[0.0, d_xa, d_xy], [d_xa, 0.0, d_ay], [d_xy, d_ay, 0.0]]))
 
 
 def sam(distances: DistanceMatrix3) -> float:
@@ -310,7 +300,8 @@ def sam(distances: DistanceMatrix3) -> float:
 
 def _alignment(basis_x: OrthonormalBasis, basis_a: OrthonormalBasis,
                basis_y: OrthonormalBasis, metric: str) -> AlignmentResult:
-    """Distances and SAM at the dimensions of the three bases."""
+    """Distances and SAM at the dimensions of the three bases: their one
+    builder, for the search, `alignment_at` and every sweep cell."""
     distances = distance_matrix(basis_x, basis_a, basis_y, metric)
     return AlignmentResult(basis_x.dim, basis_a.dim, basis_y.dim, distances, sam(distances),
                            metric)
@@ -417,8 +408,10 @@ def _sq_distance_block_grid(
 
 def _chordal_tables(u: np.ndarray, v: np.ndarray, y: np.ndarray, kx_max: int, ka_max: int):
     """Squared chordal distances d2_xa[k_x - 1, k_a - 1], d2_xy[k_x - 1]
-    and d2_ay[k_a - 1] at every integer k_x <= kx_max, k_a <= ka_max,
-    built in place in the buffer of the cross product."""
+    and d2_ay[k_a - 1] at every integer k_x <= kx_max, k_a <= ka_max, as
+    min(dims) - ||cross||_F^2 from cumulative sums (no per-cell SVD), in
+    place in the buffer of the cross product. d2_xy and d2_ay hold from
+    k = f, the label dimension, where the search's grid starts."""
     f = y.shape[1]
     d2_xa = u[:, :kx_max].T @ v[:, :ka_max]
     np.square(d2_xa, out=d2_xa)
@@ -440,24 +433,17 @@ def _sq_distance_grids(
     ka_grid: np.ndarray,
     metric: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Squared pairwise distances for every (k_x, k_a) grid cell.
+    """Squared projection or grassmann distances for every (k_x, k_a)
+    grid cell.
 
     `u`, `v`, `y` are full orthonormal factors (features, graph, labels);
     a cell's basis is a column prefix, so its cross-product is a leading
-    submatrix of the full cross-product and all cells share three matrix
-    products. For the chordal metric the squared distance
-    sum_j sin^2(theta_j) = alpha - ||cross||_F^2 falls out of cumulative
-    sums without any per-cell SVD (:func:`_chordal_tables`). The other
-    metrics take each cell from one symmetric eigenvalue solve of size
-    min(k_x, k_a, n - k_a), derived at :func:`_sq_distance_block_grid`.
-    The grid only ranks cells, and the reported distances come from
-    :func:`principal_angles`.
+    submatrix of the full cross-product. Each cell comes from one
+    symmetric eigenvalue solve of size min(k_x, k_a, n - k_a), derived at
+    :func:`_sq_distance_block_grid`. The chordal search reads every cell
+    off :func:`_chordal_sam_table` instead. The grid only ranks cells,
+    and the reported distances come from :func:`_alignment`.
     """
-    kx_max, ka_max = int(kx_grid[-1]), int(ka_grid[-1])
-    if metric == "chordal":
-        d2_xa, d2_xy, d2_ay = _chordal_tables(u, v, y, kx_max, ka_max)
-        return d2_xa[kx_grid - 1][:, ka_grid - 1], d2_xy[kx_grid - 1], d2_ay[ka_grid - 1]
-
     label_dim = np.array([y.shape[1]])
     d2_xa = _sq_distance_block_grid(u, v, kx_grid, ka_grid, metric)
     d2_xy = _sq_distance_block_grid(u, y, kx_grid, label_dim, metric)[:, 0]
@@ -547,7 +533,7 @@ def optimize_dimensions(
     needs the eigenvalues of its own Gram block (derived at
     :func:`_sq_distance_block_grid`), so each round evaluates its grid and
     solves each null's full spectrum again. The distances and SAM at k*
-    come from :func:`distance_matrix`.
+    come from :func:`_alignment`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric: {metric!r}")

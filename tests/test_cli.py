@@ -286,6 +286,21 @@ def test_correlate_reports_every_group_when_one_is_undefined(tmp_path, capsys):
     ]
 
 
+def test_correlate_fails_on_rows_of_two_experiments(tmp_path, capsys):
+    from test_experiments import mixed_experiment_rows
+
+    graph, features = mixed_experiment_rows()
+    path = tmp_path / "pooled.csv"
+    write_rows(path, graph + features)
+    code = cli(["correlate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["d m r=+nan n=3"]
+    assert captured.err.splitlines() == [
+        "error: d m: r is undefined: rows mix axis values; correlate one experiment at a time"
+    ]
+
+
 def test_help_exits_zero(capsys):
     assert cli(["-h"]) == 0
     assert "subspace" in capsys.readouterr().out.lower()

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,19 @@ def test_sweep_spec_validation(sweep_dataset):
                         metrics=("euclidean",))
 
 
+def test_sweep_spec_refuses_non_integer_counts(sweep_dataset):
+    """A float percent would die in the first cell's seed and could not be
+    read back from the CSV; numpy integers are integers."""
+    with pytest.raises(ValueError, match="percents"):
+        quick_spec(sweep_dataset, percents=(50.0,))
+    with pytest.raises(ValueError, match="percents"):
+        quick_spec(sweep_dataset, percents=(0, "50"))
+    with pytest.raises(ValueError, match="realizations"):
+        quick_spec(sweep_dataset, realizations=2.0)
+    spec = quick_spec(sweep_dataset, percents=tuple(np.array([0, 50])), realizations=np.int64(2))
+    assert spec.percents == (0, 50) and spec.realizations == 2
+
+
 def test_pearson_exact_lines():
     x = [0.0, 1.0, 2.0, 3.0]
     assert abs(pearson(x, [2 * v + 1 for v in x]) - 1.0) <= 1e-12
@@ -231,6 +245,30 @@ def test_correlate_keeps_other_groups_when_one_is_flat():
     assert line.r == pytest.approx(-1.0, abs=1e-12)
     single = correlate([synth_row(accuracy=0.9)], aggregation="point")[0]
     assert math.isnan(single.r) and single.n_points == 1 and "two points" in single.reason
+
+
+def mixed_experiment_rows():
+    """A graph-axis sweep (r = -1) and a features-axis sweep (r = +0.5) of
+    one dataset and variant; pooled, they would give one r (-0.87) that
+    belongs to neither."""
+    graph = [replace(synth_row(percent=p, accuracy=a, sam_value=s), axis="graph")
+             for p, a, s in ((0, 0.9, 1.0), (50, 0.6, 2.0), (100, 0.3, 3.0))]
+    features = [replace(synth_row(percent=p, accuracy=a, sam_value=s), axis="features")
+                for p, a, s in ((0, 0.9, 1.5), (50, 0.8, 0.5), (100, 0.7, 1.0))]
+    return graph, features
+
+
+def test_correlate_refuses_to_pool_experiments():
+    graph, features = mixed_experiment_rows()
+    assert correlate(graph)[0].r == pytest.approx(-1.0, abs=1e-12)
+    assert correlate(features)[0].r == pytest.approx(0.5, abs=1e-12)
+    pooled = correlate(graph + features)[0]
+    assert math.isnan(pooled.r) and pooled.n_points == 3
+    assert pooled.reason == "rows mix axis values; correlate one experiment at a time"
+    dims = [replace(row, kx=5 + i, ky=3 + i) for i, row in enumerate(graph)]
+    assert "rows mix kx, ky values" in correlate(dims, aggregation="point")[0].reason
+    other = [replace(row, variant="other") for row in graph]
+    assert correlate(graph + features + other)[1].r == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_csv_round_trip(tmp_path):

@@ -330,7 +330,7 @@ def test_mean_field_rows_and_transpose_match_dense():
 
 def _reference_forward(w0, w1, a_hat, x, dropout, rng):
     use_dropout = rng is not None and dropout > 0
-    x_in = _dropout(x, dropout, rng) if use_dropout else x
+    x_in = _full_layer_dropout(x, dropout, rng) if use_dropout else x
     s1 = a_hat @ (x_in @ w0)
     h_in = np.maximum(s1, 0.0)
     h_scale = None
@@ -767,7 +767,9 @@ def test_complete_graph_reads_every_row(constructive):
 
 
 def test_dropout_sparse_branch_draws_the_data_vector():
+    """The engine drops a CSR out through its data vector; that draws the
+    same mask and values as the reference's dropout of the whole CSR."""
     x = sp.random(30, 20, density=0.2, format="csr", random_state=3)
-    dropped = _dropout(x, 0.4, np.random.default_rng(8))
+    dropped = _full_layer_dropout(x, 0.4, np.random.default_rng(8))
     assert np.array_equal(dropped.indices, x.indices)
     assert np.array_equal(dropped.data, _dropout(x.data, 0.4, np.random.default_rng(8)))

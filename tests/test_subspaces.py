@@ -33,9 +33,9 @@ from graphalign.datasets import row_normalize_features
 from graphalign.subspaces import (
     DistanceMatrix3,
     _chordal_sam_table,
+    _chordal_tables,
     _null_ensemble,
     _objective,
-    _sam_grid,
     _sq_distance_grids,
     _sq_distances_from_grams,
     graph_spectrum,
@@ -140,6 +140,26 @@ def test_graph_basis_tie_at_cut_uses_full_spectrum():
         assert np.array_equal(graph_basis(a_hat, k).matrix, v[:, :k])
     for k in (3, 6):  # cuts between distinct eigenvalues
         assert _largest_angle(graph_basis(a_hat, k).matrix, v[:, :k]) <= 1e-12
+
+
+def test_graph_basis_on_repeated_eigenvalues_away_from_the_cut(small_constructive):
+    """Disconnected graphs whose top eigenvalues repeat: five isolated
+    nodes add five more unit eigenvalues, two copies double every one.
+    A solver that finds each repeated eigenvalue once would hand back a
+    wrong basis with no tie at the cut to catch it."""
+    a = small_constructive.adjacency
+    cases = (
+        (sp.block_diag([a, sp.csr_matrix((5, 5))], format="csr"), 6, (3,), (6, 7, 10)),
+        (sp.block_diag([a, a], format="csr"), 2, (9,), (10,)),
+    )
+    for adjacency, ones, ties, cuts in cases:
+        a_hat = normalized_adjacency(adjacency)
+        w, v = graph_spectrum(a_hat)
+        assert np.abs(w[:ones] - 1.0).max() <= 1e-12 and w[ones - 1] - w[ones] > 1e-4
+        for k in ties + cuts:
+            gap = w[k - 1] - w[k]
+            assert gap <= 1e-12 if k in ties else gap > 1e-4
+            assert _largest_angle(graph_basis(a_hat, k).matrix, v[:, :k]) <= 1e-12
 
 
 def test_graph_basis_two_node_edge():
@@ -393,10 +413,9 @@ def _generic_grid_factors():
 GRID_KX, GRID_KA = np.array([3, 5, 9, 12]), np.array([3, 7, 15, 22, 29])
 
 
-def _assert_grid_matches_direct(u, v, y, metric):
-    kx_grid, ka_grid = GRID_KX, GRID_KA
+def _assert_grid_matches_direct(d2_grids, u, v, y, metric, kx_grid=GRID_KX, ka_grid=GRID_KA):
     assert (kx_grid[:, None] + ka_grid[None, :] > u.shape[0]).any()
-    d2_xa, d2_xy, d2_ay = _sq_distance_grids(u, v, y, kx_grid, ka_grid, metric)
+    d2_xa, d2_xy, d2_ay = d2_grids
     for i, kx in enumerate(kx_grid):
         bx = OrthonormalBasis(u[:, :kx])
         direct_xy = subspace_distance(principal_angles(bx, OrthonormalBasis(y)), metric)
@@ -412,14 +431,22 @@ def _assert_grid_matches_direct(u, v, y, metric):
 
 
 def test_chordal_grid_fast_path_matches_direct():
-    """The cumulative-sum shortcut must agree with per-cell principal angles."""
-    _assert_grid_matches_direct(*_generic_grid_factors(), "chordal")
+    """The cumulative-sum tables must agree with per-cell principal angles
+    at every integer cell the search reads, from the label dimension up."""
+    u, v, y = _generic_grid_factors()
+    kx_grid, ka_grid = (np.arange(y.shape[1], g[-1] + 1) for g in (GRID_KX, GRID_KA))
+    d2_xa, d2_xy, d2_ay = _chordal_tables(u, v, y, kx_grid[-1], ka_grid[-1])
+    _assert_grid_matches_direct(
+        (d2_xa[kx_grid - 1][:, ka_grid - 1], d2_xy[kx_grid - 1], d2_ay[ka_grid - 1]),
+        u, v, y, "chordal", kx_grid, ka_grid)
 
 
 @pytest.mark.parametrize("metric", ["projection", "grassmann"])
 def test_nonchordal_grid_fast_path_matches_direct(metric):
     """The Gram-eigenvalue grid must agree with per-cell principal angles."""
-    _assert_grid_matches_direct(*_generic_grid_factors(), metric)
+    u, v, y = _generic_grid_factors()
+    _assert_grid_matches_direct(_sq_distance_grids(u, v, y, GRID_KX, GRID_KA, metric),
+                                u, v, y, metric)
 
 
 def test_nonchordal_grid_at_shared_and_orthogonal_directions():
@@ -619,7 +646,7 @@ def _reference_sam_grid(u, v, y, kx_grid, ka_grid, metric):
     """The grid as the search computed it before Gram eigenvalues: for the
     non-chordal metrics, one SVD of the cross block per cell."""
     if metric == "chordal":
-        return _sam_grid(u, v, y, kx_grid, ka_grid, metric)
+        return _per_grid_chordal_sam(u, v, y, kx_grid, ka_grid)
 
     def sq_distance(cross):
         theta = np.arccos(np.clip(scipy.linalg.svdvals(cross), 0.0, 1.0))
