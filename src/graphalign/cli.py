@@ -14,6 +14,7 @@ Exit codes: 0 on success, 2 on usage errors, 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from .datasets import (
 from .experiments import (
     AXES,
     SweepSpec,
+    _first_repeat,
     _randomized_dataset,
     correlate,
     read_rows,
@@ -124,6 +126,11 @@ _positive = _int_at_least(1, "positive integer")
 _percent = _int_at_least(0, "percent in [0, 100]", maximum=100)
 
 
+def _defaults(function: Callable) -> dict:
+    """`function`'s parameter defaults, for the flags whose value it owns."""
+    return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+
 def _finite_float(text: str) -> float:
     """Argument type of the real-valued flags (rates, weights, probabilities):
     NaN and infinities slip through range checks, so they are refused here."""
@@ -153,7 +160,7 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     if not grid or not all(0 <= p <= 100 for p in grid):
         raise argparse.ArgumentTypeError(
             f"grid {text!r} must list one or more percents in [0, 100]")
-    return grid
+    return _distinct(grid, "percent")
 
 
 def _parse_variants(text: str) -> tuple[str, ...]:
@@ -161,29 +168,64 @@ def _parse_variants(text: str) -> tuple[str, ...]:
     unknown = sorted(set(text.split(",")) - set(VARIANTS))
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown variants {unknown} (choose from {VARIANTS})")
-    return tuple(text.split(","))
+    return _distinct(tuple(text.split(",")), "variant")
+
+
+def _distinct(values: tuple, kind: str) -> tuple:
+    """`values`, refused if one repeats: a sweep keeps one cell per value."""
+    if (repeated := _first_repeat(values)) is not None:
+        raise argparse.ArgumentTypeError(f"{kind} {repeated!r} is listed twice")
+    return values
+
+
+# The generate and train flags of ConstructiveSpec and GcnConfig fields: flag: (field, type).
+_SPEC_FLAGS = {
+    "nodes": ("n_nodes", _positive), "communities": ("n_communities", _positive),
+    "features_per_community": ("features_per_community", _positive),
+    "p_in": ("p_in", _finite_float), "p_out": ("p_out", _finite_float), "seed": ("seed", _seed),
+}
+_CONFIG_FLAGS = {
+    "hidden": ("hidden_units", _positive), "lr": ("learning_rate", _finite_float),
+    "dropout": ("dropout", _finite_float), "l2": ("l2_weight", _finite_float),
+    "epochs": ("max_epochs", _positive), "patience": ("patience", _positive),
+    "train_seed": ("seed", _seed),
+}
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, owner: type, flags: dict) -> None:
+    """One flag per entry of `flags`, defaulting to `owner`'s field value."""
+    for flag, (name, kind) in flags.items():
+        parser.add_argument("--" + flag.replace("_", "-"), type=kind, default=getattr(owner, name))
+
+
+def _fields(args: argparse.Namespace, flags: dict) -> dict:
+    """The field values that `flags` set, read off the parsed flags."""
+    return {name: getattr(args, flag) for flag, (name, _) in flags.items()}
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("dataset")
     group.add_argument("--dataset", choices=("constructive", "files"), default="constructive",
                        help="built-in generated benchmark or files on disk")
-    group.add_argument("--seed", type=_seed, default=0, help="generation seed (constructive)")
+    group.add_argument("--seed", type=_seed, default=ConstructiveSpec.seed,
+                       help="generation seed (constructive)")
     group.add_argument("--edges", help="edge-list file (--dataset files)")
     group.add_argument("--features", help="per-node feature/label file (--dataset files)")
-    group.add_argument("--format", choices=("generic", "cora"), default="generic")
+    group.add_argument("--format", choices=("generic", "cora"),
+                       default=_defaults(load_dataset)["format"])
     group.add_argument("--name", help="dataset name used in outputs (default: file stem)")
     group.add_argument("--lcc", action="store_true",
                        help="restrict to the largest connected component")
 
 
 def _add_search_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metric", choices=METRICS, default="chordal")
-    parser.add_argument("--nulls", type=_positive, default=100,
+    search = _defaults(optimize_dimensions)
+    parser.add_argument("--metric", choices=METRICS, default=search["metric"])
+    parser.add_argument("--nulls", type=_positive, default=search["n_null"],
                         help="null realizations (10 = quick)")
-    parser.add_argument("--grid-points", type=_positive, default=10)
-    parser.add_argument("--rounds", type=_positive, default=2)
-    parser.add_argument("--align-seed", type=_seed, default=0)
+    parser.add_argument("--grid-points", type=_positive, default=search["grid_points"])
+    parser.add_argument("--rounds", type=_positive, default=search["rounds"])
+    parser.add_argument("--align-seed", type=_seed, default=search["seed"])
 
 
 def _resolve_dataset(args: argparse.Namespace) -> tuple[str, Dataset]:
@@ -209,15 +251,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = ConstructiveSpec(
-        n_nodes=args.nodes,
-        n_communities=args.communities,
-        n_features=args.communities * args.features_per_community,
-        features_per_community=args.features_per_community,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        seed=args.seed,
-    )
+    spec = ConstructiveSpec(n_features=args.communities * args.features_per_community,
+                            **_fields(args, _SPEC_FLAGS))
     ds = generate_constructive(spec)
     save_dataset(ds, args.out_edges, args.out_features)
     _emit(
@@ -256,17 +291,8 @@ def _cmd_randomize(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     name, ds = _resolve_dataset(args)
-    config = GcnConfig(
-        hidden_units=args.hidden,
-        learning_rate=args.lr,
-        dropout=args.dropout,
-        l2_weight=args.l2,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=args.train_seed,
-    )
     split = build_split(ds.labels, seed=args.split_seed)
-    report = train(ds, args.variant, config, split=split)
+    report = train(ds, args.variant, GcnConfig(**_fields(args, _CONFIG_FLAGS)), split=split)
     _emit(
         {
             "dataset": name,
@@ -324,12 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write the planted-community benchmark to files")
-    p.add_argument("--nodes", type=_positive, default=1000)
-    p.add_argument("--communities", type=_positive, default=10)
-    p.add_argument("--features-per-community", type=_positive, default=50)
-    p.add_argument("--p-in", type=_finite_float, default=0.07)
-    p.add_argument("--p-out", type=_finite_float, default=0.007)
-    p.add_argument("--seed", type=_seed, default=0)
+    _add_field_flags(p, ConstructiveSpec, _SPEC_FLAGS)
     p.add_argument("--out-edges", required=True)
     p.add_argument("--out-features", required=True)
     p.set_defaults(func=_cmd_generate)
@@ -342,10 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("randomize", help="emit a randomized copy of a dataset")
     _add_dataset_args(p)
-    p.add_argument("--axis", choices=AXES, default="both")
+    p.add_argument("--axis", choices=AXES, default=SweepSpec.axis)
     p.add_argument("--percent", type=_percent, required=True,
                    help="integer percent, as on a sweep grid")
-    p.add_argument("--rand-seed", type=_seed, default=0, help="the sweep's --base-seed")
+    p.add_argument("--rand-seed", type=_seed, default=SweepSpec.base_seed,
+                   help="the sweep's --base-seed")
     p.add_argument("--realization", type=_seed, default=0,
                    help="realization index; reproduces the sweep rows with this index")
     p.add_argument("--out-edges", required=True)
@@ -354,37 +376,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model variant, report JSON")
     _add_dataset_args(p)
-    p.add_argument("--variant", choices=VARIANTS, default="gcn")
-    p.add_argument("--hidden", type=_positive, default=16)
-    p.add_argument("--lr", type=_finite_float, default=0.01)
-    p.add_argument("--dropout", type=_finite_float, default=0.5)
-    p.add_argument("--l2", type=_finite_float, default=5e-4)
-    p.add_argument("--epochs", type=_positive, default=400)
-    p.add_argument("--patience", type=_positive, default=100)
-    p.add_argument("--train-seed", type=_seed, default=0)
-    p.add_argument("--split-seed", type=_seed, default=0)
+    p.add_argument("--variant", choices=VARIANTS, default=_defaults(train)["variant"])
+    _add_field_flags(p, GcnConfig, _CONFIG_FLAGS)
+    p.add_argument("--split-seed", type=_seed, default=_defaults(build_split)["seed"])
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="randomization sweep to CSV")
     _add_dataset_args(p)
     _add_search_args(p)
-    p.add_argument("--axis", choices=AXES, default="both")
-    p.add_argument("--grid", type=_parse_grid, default="0:100:10",
+    p.add_argument("--axis", choices=AXES, default=SweepSpec.axis)
+    p.add_argument("--grid", type=_parse_grid, default=SweepSpec.percents,
                    help="start:stop:step (stop inclusive) or a,b,c")
-    p.add_argument("--realizations", type=_positive, default=100)
-    p.add_argument("--variants", type=_parse_variants, default="gcn",
+    p.add_argument("--realizations", type=_positive, default=SweepSpec.realizations)
+    p.add_argument("--variants", type=_parse_variants, default=SweepSpec.variants,
                    help="comma-separated model variants")
-    p.add_argument("--base-seed", type=_seed, default=0)
+    p.add_argument("--base-seed", type=_seed, default=SweepSpec.base_seed)
     p.add_argument("--kx", type=_positive, help="fix the feature dimension (skips optimization)")
     p.add_argument("--ka", type=_positive, help="fix the graph dimension (skips optimization)")
-    p.add_argument("--workers", type=_positive, default=1)
+    p.add_argument("--workers", type=_positive, default=_defaults(run_sweep_multi)["workers"])
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("correlate", help="accuracy/alignment correlation from a sweep CSV")
     p.add_argument("csv", help="sweep CSV produced by the sweep subcommand")
-    p.add_argument("--aggregation", choices=("percent_mean", "point"), default="percent_mean")
+    p.add_argument("--aggregation", choices=("percent_mean", "point"),
+                   default=_defaults(correlate)["aggregation"])
     p.set_defaults(func=_cmd_correlate)
 
     for p in sub.choices.values():

@@ -75,6 +75,14 @@ class SweepSpec:
         unknown = set(self.variants) - set(VARIANTS)
         if not self.variants or unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
+        for name in ("percents", "variants"):
+            if (repeated := _first_repeat(getattr(self, name))) is not None:
+                raise ValueError(f"{name} lists {repeated!r} twice")
+
+
+def _first_repeat(values: tuple):
+    """The first value that `values` lists a second time, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 @dataclass(frozen=True)
@@ -244,8 +252,9 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
 
     ``percent_mean`` correlates the per-percent means of accuracy and
     alignment (one point per grid percent); ``point`` correlates the raw
-    realizations. Rows with NaN accuracy (diverged trainings) are dropped
-    first. A group that degenerates (fewer than two points or zero
+    realizations. Rows are grouped first, and then each group's rows with
+    NaN accuracy (diverged trainings) are dropped, so every group gets a
+    result. A group that degenerates (fewer than two points left, or zero
     variance), or that pools experiments (rows that differ in axis or
     dimensions), gets r = NaN and the reason, so the other groups keep theirs.
     """
@@ -253,12 +262,11 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
         raise ValueError(f"unknown aggregation: {aggregation!r}")
     groups: dict[tuple[str, str], list[SweepRow]] = {}
     for row in rows:
-        if math.isnan(row.accuracy):
-            continue
         groups.setdefault((row.dataset, row.variant), []).append(row)
 
     results = []
-    for (dataset, variant), members in sorted(groups.items()):
+    for (dataset, variant), group in sorted(groups.items()):
+        members = [row for row in group if not math.isnan(row.accuracy)]
         if aggregation == "percent_mean":
             by_percent: dict[int, list[SweepRow]] = {}
             for row in members:
@@ -269,10 +277,12 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
             accs = [r.accuracy for r in members]
             sams = [r.sam for r in members]
         mixed = ", ".join(name for name in _EXPERIMENT_COLUMNS
-                          if len({getattr(row, name) for row in members}) > 1)
+                          if len({getattr(row, name) for row in group}) > 1)
         try:
             if mixed:
                 raise ValueError(f"rows mix {mixed} values; correlate one experiment at a time")
+            if not members:
+                raise ValueError(f"all {len(group)} trainings diverged (NaN accuracy)")
             r, reason = pearson(accs, sams), ""
         except ValueError as exc:
             r, reason = math.nan, str(exc)
@@ -281,22 +291,15 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
     return results
 
 
-def _write_csv(fh, rows: list[SweepRow]) -> None:
-    writer = csv.writer(fh)
+def write_rows(path_or_file, rows: list[SweepRow]) -> None:
+    """Write sweep rows as UTF-8 CSV with the fixed header, to a path or
+    to an already-open text stream."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", newline="", encoding="utf-8") as fh:
+            return write_rows(fh, rows)
+    writer = csv.writer(path_or_file)
     writer.writerow(CSV_HEADER.split(","))
     writer.writerows(astuple(row) for row in rows)
-
-
-def write_rows(path_or_file, rows: list[SweepRow]) -> None:
-    """Write sweep rows as UTF-8 CSV with the fixed header.
-
-    Accepts a filesystem path or an already-open text stream.
-    """
-    if hasattr(path_or_file, "write"):
-        _write_csv(path_or_file, rows)
-        return
-    with open(path_or_file, "w", newline="", encoding="utf-8") as fh:
-        _write_csv(fh, rows)
 
 
 def read_rows(path) -> list[SweepRow]:

@@ -13,15 +13,10 @@ adaptive-moment gradient descent, L2 on the first-layer weights, and
 early stopping on the validation loss; the two-layer model also applies
 dropout to both layer inputs.
 
-Each pass computes only the output rows it reads: a training epoch the
-training nodes (the loss), the validation pass the validation nodes
-(early stopping) and the final pass the test nodes (the accuracy). The
-output layer then uses P restricted to those rows, P_S = P[S], and the
-backward pass P_S and its transpose. The first layer relu(P X W0) is
-computed only on the 1-hop rows of S, bit for bit as on every row
-(:class:`_Engine`, which builds every operator of a training once). The
-simplified variant slices its propagated features P^K X once per split
-part.
+Each pass computes only the output rows S it reads (the training,
+validation or test nodes), and the first layer only on their 1-hop rows,
+bit for bit as on every row (:class:`_Engine`). The simplified variant
+slices its propagated features P^K X once per split part.
 """
 
 from __future__ import annotations
@@ -56,6 +51,8 @@ VARIANTS = ("gcn", "no_graph", "no_features", "complete_graph", "sgc")
 
 # Propagation steps K of the simplified variant.
 _SGC_DEGREE = 2
+# The published split's training and validation shares, in percent.
+_TRAIN_PERCENT, _VAL_PERCENT = 5.0, 10.0
 
 
 class TrainingDiverged(RuntimeError):
@@ -206,11 +203,11 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 class _Pass:
     """One output row set's operators, all built in ``__init__``: P on the
-    output rows S (`a_rows`) and its transpose P_Sᵀ as a view
-    (`a_rows_t`), the 1-hop rows H the first layer is read on (`hop`: the
-    columns P_S stores, every row for a dense or implicit P), P on H
-    (`a_hop`), P restricted to the columns H (`a_cols`) and a zero-filled
-    full-size hidden buffer that each pass fills on H."""
+    output rows S (`a_rows`), the 1-hop rows H the first layer is read on
+    (`hop`: the columns P_S stores, every row for a dense or implicit P),
+    P on H (`a_hop`), the transposes P_Sᵀ and P_Hᵀ as views (`a_rows_t`,
+    `a_hop_t`) and a zero-filled full-size hidden buffer that each pass
+    fills on H."""
 
     def __init__(self, a_hat, rows: np.ndarray, hidden: int):
         self.a_rows = a_hat[rows]
@@ -218,7 +215,7 @@ class _Pass:
         n = a_hat.shape[0]
         self.hop = np.unique(self.a_rows.indices) if sp.issparse(a_hat) else np.arange(n)
         self.a_hop = a_hat[self.hop]
-        self.a_cols = a_hat[:, self.hop] if sp.issparse(a_hat) else a_hat
+        self.a_hop_t = self.a_hop.T
         self.h = np.zeros((n, hidden))
 
 
@@ -286,7 +283,7 @@ class _Engine:
         and no other pass may run in between: they share the engine's
         buffers. The output gradient lives on the rows S alone and the
         first-layer gradient on their 1-hop rows H, so the backward needs
-        only P_Sᵀ and P's columns H: the terms it skips are exact zeros.
+        only P_Sᵀ and P_Hᵀ: the terms it skips are exact zeros.
         """
         p, x_in_t, s1, scale = cache
         g2 = (z - y) * ce_scale
@@ -295,13 +292,15 @@ class _Engine:
         if scale is not None:
             gs1 *= scale
         gs1 *= s1 > 0
-        gw0 = x_in_t @ (p.a_cols @ gs1) + l2_weight * w0
+        gw0 = x_in_t @ (p.a_hop_t @ gs1) + l2_weight * w0
         return [np.asarray(gw0), gw1]
 
 
 def forward(model: GcnModel, a_hat, x) -> np.ndarray:
     """Class probabilities in evaluation mode, one row per node, each
-    summing to one. `x` may be dense or sparse; it enters as a CSR."""
+    summing to one, for any square operator `a_hat` (sparse, dense or
+    implicit, symmetric or not). `x` may be dense or sparse; it enters as
+    a CSR."""
     n = a_hat.shape[0]
     engine = _Engine(a_hat, sp.csr_matrix(x), {"all": np.arange(n)}, model.w0.shape[1], 0.0)
     z, _ = engine.forward(model.w0, model.w1, "all", None)
@@ -344,7 +343,9 @@ def gradients(
     """Analytic gradients of :func:`loss` at the given weights, dropout off.
 
     Runs the training engine's forward and backward pass, restricted to
-    the rows of `train_mask`, on `x` as a CSR.
+    the rows of `train_mask`, on `x` as a CSR. Exact for any square
+    operator `a_hat`: the backward reads P_Hᵀ off P's 1-hop rows, so
+    it needs no symmetry.
     """
     rows = np.flatnonzero(train_mask)
     engine = _Engine(a_hat, sp.csr_matrix(x), {"train": rows}, model.w0.shape[1], 0.0)
@@ -385,36 +386,26 @@ class _Adam:
             p -= np.divide(b, a, out=b)
 
 
-def build_split(
-    labels: np.ndarray,
-    fractions: tuple[float, float, float] = (5.0, 10.0, 85.0),
-    seed: int = 0,
-) -> SplitSpec:
-    """Stratified train split plus uniform validation/test masks.
+def build_split(labels: np.ndarray, seed: int = 0) -> SplitSpec:
+    """The published split: a stratified 5 % training set, a uniform 10 %
+    validation set and the rest as the test set.
 
     The training quota is spread evenly across the classes that have a
     node (ceil of the ideal share each, then trimmed from the highest
     class indexes down to hit the total); validation nodes are drawn
-    uniformly from the remainder and the rest is the test set.
-    Deterministic per seed.
+    uniformly from the remainder. Deterministic per seed. Other splits
+    are built as a :class:`SplitSpec` of masks.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
     counts = np.bincount(labels)
     classes = np.flatnonzero(counts)
     f = len(classes)
-    f_train, f_val, _ = fractions
-    n_train = int(round(n * f_train / 100.0))
-    n_val = int(round(n * f_val / 100.0))
-    if n_train <= 0:
-        raise ValueError("training fraction yields an empty training set")
-    if n_train < f:
-        raise ValueError(
-            f"training quota {n_train} is smaller than the class count {f}; "
-            "stratification needs at least one node per class"
-        )
-    if n_train + n_val > n:
-        raise ValueError("train + validation fractions exceed the node count")
+    n_train = int(round(n * _TRAIN_PERCENT / 100.0))
+    n_val = int(round(n * _VAL_PERCENT / 100.0))
+    if n_train < max(f, 1):
+        raise ValueError(f"{n} nodes give a training quota of {n_train}, below one node per "
+                         f"class ({f} classes)")
 
     quotas = np.full(f, math.ceil(n_train / f), dtype=int)
     # The excess is below f, and a positive excess means every quota is at
@@ -426,21 +417,12 @@ def build_split(
         raise ValueError(f"class {c} has {counts[c]} nodes, fewer than its training quota {quota}")
 
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    for c, quota in zip(classes, quotas):
-        members = np.flatnonzero(labels == c)
-        train_idx.extend(rng.choice(members, size=quota, replace=False))
     train_mask = np.zeros(n, dtype=bool)
-    train_mask[train_idx] = True
-
-    rest = np.flatnonzero(~train_mask)
-    val_idx = rng.choice(rest, size=n_val, replace=False) if n_val else np.empty(0, dtype=int)
+    for c, quota in zip(classes, quotas):
+        train_mask[rng.choice(np.flatnonzero(labels == c), size=quota, replace=False)] = True
     val_mask = np.zeros(n, dtype=bool)
-    val_mask[val_idx] = True
-    test_mask = ~(train_mask | val_mask)
-    split = SplitSpec(train_mask, val_mask, test_mask)
-    split.validate()
-    return split
+    val_mask[rng.choice(np.flatnonzero(~train_mask), size=n_val, replace=False)] = True
+    return SplitSpec(train_mask, val_mask, ~(train_mask | val_mask))
 
 
 def _accuracy(z: np.ndarray, labels: np.ndarray) -> float | None:
@@ -479,9 +461,7 @@ def _fit(
     ``"val"``, ``"test"``), and ``forward_fn(weights, part, rng)`` returns
     the class probabilities of that part's nodes only, plus a cache for
     ``backward_fn(weights, cache, z, y)``, which takes the probabilities
-    and one-hot labels of the training nodes. No pass computes an output
-    row that nothing reads, and the two-layer passes compute the first
-    layer only on the 1-hop rows of their output rows (:class:`_Engine`).
+    and one-hot labels of the training nodes.
 
     Weights are drawn Glorot-uniform layer by layer for the given layer
     `widths`. Each epoch then runs the forward pass on the training nodes
@@ -599,7 +579,7 @@ def train(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
     if split is None:
-        split = build_split(dataset.labels, seed=0)
+        split = build_split(dataset.labels)
     split.validate()
     if len(split.train_mask) != dataset.n_nodes:
         raise ValueError("split masks must have one entry per node")

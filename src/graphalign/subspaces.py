@@ -149,19 +149,18 @@ def _fix_signs(matrix: np.ndarray) -> np.ndarray:
 def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of the normalized adjacency: all N eigenpairs.
 
-    A sparse operator (as :func:`normalized_adjacency` returns) is turned
-    into a dense array right before the dense eigensolver; this is the
-    only place an N x N dense operator is built. The full spectrum comes
-    from ``numpy.linalg.eigh``, LAPACK's divide-and-conquer driver
-    (``?syevd``), the fastest one for all eigenpairs at the sizes used
-    here; it runs on numpy's BLAS, as do the products and Gram
+    A sparse operator (as :func:`normalized_adjacency` returns) is made
+    dense right before ``numpy.linalg.eigh``, LAPACK's divide-and-conquer
+    routine (``?syevd``), the fastest one for all eigenpairs at the sizes
+    used here; it runs on numpy's BLAS, as do the products and Gram
     eigenvalues of the dimension search, so the search uses one BLAS
     thread pool. Eigenvalues come back sorted by decreasing algebraic
     value; ties keep the eigensolver's original order (stable sort), and
     each eigenvector's largest-magnitude entry is made positive, so the
     output is deterministic even for degenerate spectra.
-    :func:`optimize_dimensions` calls it once per search for the original
-    graph and, for every null basis it needs, once for that null.
+    :func:`optimize_dimensions` calls it once for the original graph and,
+    for each null, once per search (chordal) or once per round
+    (projection and grassmann).
     """
     if sp.issparse(a_hat):
         a_hat = a_hat.toarray()

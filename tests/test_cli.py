@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +11,23 @@ import numpy as np
 import pytest
 
 import graphalign
-from graphalign import alignment_at, load_dataset, read_rows, save_dataset, write_rows
-from graphalign.cli import cli
+from conftest import make_dataset
+from graphalign import (
+    ConstructiveSpec,
+    GcnConfig,
+    SweepSpec,
+    alignment_at,
+    build_split,
+    correlate,
+    load_dataset,
+    optimize_dimensions,
+    read_rows,
+    run_sweep_multi,
+    save_dataset,
+    train,
+    write_rows,
+)
+from graphalign.cli import build_parser, cli
 from graphalign.experiments import CSV_HEADER, _randomized_dataset
 
 GEN_ARGS = ["--nodes", "60", "--communities", "3", "--features-per-community", "4",
@@ -177,6 +194,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli([]) == 2
     assert cli(["train", "--dataset", "files"]) == 2  # missing --edges/--features
     outputs = ["--out-edges", str(tmp_path / "e"), "--out-features", str(tmp_path / "f")]
+    absent = ["--dataset", "files", "--edges", str(tmp_path / "e"), "--features",
+              str(tmp_path / "f")]
     for argv, message in [
         (["randomize", "--percent", "150", "--axis", "graph", *outputs],
          "argument --percent: must be a percent in [0, 100], got 150"),
@@ -185,6 +204,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["sweep", "--grid", "0:150:50"],
          "argument --grid: grid '0:150:50' must list one or more percents in [0, 100]"),
         (["sweep", "--variants", "gcn,foo"], "argument --variants: unknown variants ['foo']"),
+        # the repeat is refused before the (absent) dataset files are read
+        (["sweep", "--grid", "0,0,50", *absent], "argument --grid: percent 0 is listed twice"),
+        (["sweep", "--variants", "gcn,gcn", *absent],
+         "argument --variants: variant 'gcn' is listed twice"),
     ]:
         capsys.readouterr()
         assert cli(argv) == 2
@@ -286,6 +309,39 @@ def test_correlate_reports_every_group_when_one_is_undefined(tmp_path, capsys):
     ]
 
 
+def test_correlate_reports_a_group_whose_trainings_all_diverged(small_constructive, tmp_path,
+                                                                capsys):
+    """A learning rate of 1e160 makes every gcn and sgc training of this
+    sweep diverge. Each row keeps its cell's SAM, distances and seed, the
+    NaN accuracy survives the CSV, and correlate reports the all-NaN group
+    beside a normal one and exits 1; it used to drop the NaN rows before
+    grouping, print the normal group alone and exit 0."""
+    dims = alignment_at(small_constructive, 8, 4)
+    spec = SweepSpec(dataset=small_constructive, name="c", percents=(0, 50), realizations=2,
+                     variants=("gcn", "sgc"), config=GcnConfig(max_epochs=20))
+    finite = run_sweep_multi(spec, dims, metrics=("chordal",))["chordal"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = run_sweep_multi(replace(spec, config=GcnConfig(learning_rate=1e160)), dims,
+                                   metrics=("chordal",))["chordal"]
+    assert all(math.isnan(row.accuracy) for row in diverged)
+    assert not any(math.isnan(row.accuracy) for row in finite)
+    assert [replace(row, accuracy=0.0) for row in diverged] == [
+        replace(row, accuracy=0.0) for row in finite]
+
+    path = tmp_path / "diverged.csv"
+    write_rows(path, [row for row in finite if row.variant == "gcn"]
+               + [row for row in diverged if row.variant == "sgc"])
+    back = read_rows(path)
+    assert [math.isnan(row.accuracy) for row in back] == [False] * 4 + [True] * 4
+    capsys.readouterr()
+    assert cli(["correlate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["c gcn r=-1.0000 n=2", "c sgc r=+nan n=0"]
+    assert captured.err.splitlines() == [
+        "error: c sgc: r is undefined: all 4 trainings diverged (NaN accuracy)"
+    ]
+
+
 def test_correlate_fails_on_rows_of_two_experiments(tmp_path, capsys):
     from test_experiments import mixed_experiment_rows
 
@@ -299,6 +355,62 @@ def test_correlate_fails_on_rows_of_two_experiments(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "error: d m: r is undefined: rows mix axis values; correlate one experiment at a time"
     ]
+
+
+def _library_defaults() -> dict:
+    """Each subcommand's flags whose value the library owns, with the
+    owner's value: a dataclass field's or a function parameter's."""
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    spec, config = ConstructiveSpec(), GcnConfig()
+    sweep = SweepSpec(dataset=make_dataset(), name="d")
+    dataset = {"seed": spec.seed, "format": default(load_dataset, "format")}
+    search = {"metric": default(optimize_dimensions, "metric"),
+              "nulls": default(optimize_dimensions, "n_null"),
+              "grid_points": default(optimize_dimensions, "grid_points"),
+              "rounds": default(optimize_dimensions, "rounds"),
+              "align_seed": default(optimize_dimensions, "seed")}
+    return {
+        "generate": {"nodes": spec.n_nodes, "communities": spec.n_communities,
+                     "features_per_community": spec.features_per_community,
+                     "p_in": spec.p_in, "p_out": spec.p_out, "seed": spec.seed},
+        "align": {**dataset, **search},
+        "randomize": {**dataset, "axis": sweep.axis, "rand_seed": sweep.base_seed},
+        "train": {**dataset, "variant": default(train, "variant"),
+                  "hidden": config.hidden_units, "lr": config.learning_rate,
+                  "dropout": config.dropout, "l2": config.l2_weight,
+                  "epochs": config.max_epochs, "patience": config.patience,
+                  "train_seed": config.seed, "split_seed": default(build_split, "seed")},
+        "sweep": {**dataset, **search, "axis": sweep.axis, "grid": sweep.percents,
+                  "realizations": sweep.realizations, "variants": sweep.variants,
+                  "base_seed": sweep.base_seed, "workers": default(run_sweep_multi, "workers")},
+        "correlate": {"aggregation": default(correlate, "aggregation")},
+    }
+
+
+# The defaults that only the CLI has: the dataset source and the
+# realization that `randomize` reproduces.
+_CLI_DEFAULTS = {"dataset": "constructive", "realization": 0}
+
+
+def test_every_library_owned_default_is_the_owners_value():
+    """Parsed with only its required flags, each subcommand's flags hold
+    the library's value where the library owns one, and a CLI default
+    otherwise; a flag that restated a library default would fail here
+    once the library's value changed."""
+    required = {"generate": ["--out-edges", "e", "--out-features", "f"],
+                "randomize": ["--percent", "0", "--out-edges", "e", "--out-features", "f"],
+                "correlate": ["rows.csv"]}
+    for command, owned in _library_defaults().items():
+        args = vars(build_parser().parse_args([command, *required.get(command, [])]))
+        given = {"command", "func", "out_edges", "out_features", "percent", "csv"}
+        defaults = {flag: value for flag, value in args.items()
+                    if flag not in given and value is not None and value is not False}
+        assert defaults.keys() == owned.keys() | (defaults.keys() & _CLI_DEFAULTS.keys()), command
+        for flag, value in defaults.items():
+            want = owned[flag] if flag in owned else _CLI_DEFAULTS[flag]
+            assert (value, type(value)) == (want, type(want)), (command, flag)
 
 
 def test_help_exits_zero(capsys):

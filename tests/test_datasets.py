@@ -360,6 +360,8 @@ def test_loaded_edges_drop_self_loops_and_collapse_pairs(tmp_path):
     assert _csr_arrays(ds.adjacency) == _csr_arrays(want)
     edges.write_text("c c\n")
     assert load_dataset(edges, feats).n_edges == 0
+    edges.write_text("\na b\n  \t\n")  # blank lines are skipped
+    assert load_dataset(edges, feats).n_edges == 1
 
 
 def test_largest_connected_component_of_a_connected_graph_is_the_dataset():

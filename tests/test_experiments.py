@@ -153,6 +153,12 @@ def test_sweep_spec_validation(sweep_dataset):
         quick_spec(sweep_dataset, realizations=0)
     with pytest.raises(ValueError, match="variant"):
         quick_spec(sweep_dataset, variants=("gcn", "gat"))
+    # A repeated percent or variant wrote a row per repeat, each carrying
+    # the cell's last training.
+    with pytest.raises(ValueError, match="percents lists 0 twice"):
+        quick_spec(sweep_dataset, percents=(0, 0, 50))
+    with pytest.raises(ValueError, match="variants lists 'gcn' twice"):
+        quick_spec(sweep_dataset, variants=("gcn", "sgc", "gcn"))
     with pytest.raises(ValueError, match="metrics"):
         run_sweep_multi(quick_spec(sweep_dataset), alignment_at(sweep_dataset, 5, 4),
                         metrics=("euclidean",))

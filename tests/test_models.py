@@ -142,28 +142,40 @@ def _fd_instance(seed):
     return a_hat, x, w0, w1, y, mask
 
 
+def _fd_operators(a_hat):
+    """The instance's normalized adjacency, dense and sparse, and the
+    random-walk operator D^-1 (A + I) of the same graph, which is not
+    symmetric: the backward pass must take P's transpose, not P."""
+    a_tilde = (a_hat != 0).astype(float)
+    walk = a_tilde / a_tilde.sum(axis=1, keepdims=True)
+    assert not np.array_equal(walk, walk.T)
+    return {"normalized": a_hat, "normalized-sparse": sp.csr_matrix(a_hat),
+            "walk": walk, "walk-sparse": sp.csr_matrix(walk)}
+
+
 def test_gradients_match_finite_differences():
     step, l2 = 1e-5, 0.3
     for seed in range(5):
-        a_hat, x, w0, w1, y, mask = _fd_instance(seed)
-        gw0, gw1 = gradients(GcnModel(w0, w1), a_hat, x, y, mask, l2)
+        instance, x, w0, w1, y, mask = _fd_instance(seed)
+        for name, a_hat in _fd_operators(instance).items():
+            gw0, gw1 = gradients(GcnModel(w0, w1), a_hat, x, y, mask, l2)
 
-        def objective(a0, a1):
-            z = forward(GcnModel(a0, a1), a_hat, x)
-            return loss(z, y, mask, a0, l2)
+            def objective(a0, a1):
+                z = forward(GcnModel(a0, a1), a_hat, x)
+                return loss(z, y, mask, a0, l2)
 
-        for which, (w, g) in enumerate(((w0, gw0), (w1, gw1))):
-            fd = np.zeros_like(w)
-            for idx in np.ndindex(*w.shape):
-                wp, wm = w.copy(), w.copy()
-                wp[idx] += step
-                wm[idx] -= step
-                if which == 0:
-                    fd[idx] = (objective(wp, w1) - objective(wm, w1)) / (2 * step)
-                else:
-                    fd[idx] = (objective(w0, wp) - objective(w0, wm)) / (2 * step)
-            rel = np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))
-            assert rel < 1e-4, f"seed {seed} layer {which}: rel err {rel:.2e}"
+            for which, (w, g) in enumerate(((w0, gw0), (w1, gw1))):
+                fd = np.zeros_like(w)
+                for idx in np.ndindex(*w.shape):
+                    wp, wm = w.copy(), w.copy()
+                    wp[idx] += step
+                    wm[idx] -= step
+                    if which == 0:
+                        fd[idx] = (objective(wp, w1) - objective(wm, w1)) / (2 * step)
+                    else:
+                        fd[idx] = (objective(w0, wp) - objective(w0, wm)) / (2 * step)
+                rel = np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))
+                assert rel < 1e-4, f"seed {seed} {name} layer {which}: rel err {rel:.2e}"
 
 
 def test_build_split_balanced_quotas():
@@ -186,11 +198,9 @@ def test_build_split_trims_quota_from_high_classes():
 
 
 def test_build_split_errors():
-    labels = np.array([0, 1] * 50)
-    with pytest.raises(ValueError, match="empty training"):
-        build_split(labels, fractions=(0.0, 10.0, 90.0))
-    with pytest.raises(ValueError, match="exceed"):
-        build_split(labels, fractions=(60.0, 50.0, 0.0))
+    # 5% of 8 nodes rounds to an empty training set
+    with pytest.raises(ValueError, match="training quota of 0"):
+        build_split(np.array([0, 1] * 4))
     rare = np.array([0] * 99 + [1])
     with pytest.raises(ValueError, match="quota"):
         build_split(rare)
@@ -241,11 +251,12 @@ def test_train_without_validation_or_test_nodes(variant):
     NaN. No test nodes: the test accuracy is None."""
     ds = make_dataset(n=40)
     config = GcnConfig(max_epochs=6, patience=1)
-    no_val = train(ds, variant, config, build_split(ds.labels, fractions=(10, 0, 90)))
+    train_idx = [0, 1, 20, 21]  # two nodes of each class
+    no_val = train(ds, variant, config, manual_split(40, train_idx, []))
     assert no_val.epochs_run == 6 and len(no_val.val_losses) == 6
     assert all(np.isnan(no_val.val_losses))
     assert 0.0 <= no_val.test_accuracy <= 1.0
-    no_test = train(ds, variant, config, build_split(ds.labels, fractions=(10, 90, 0)))
+    no_test = train(ds, variant, config, manual_split(40, train_idx, set(range(40)) - set(train_idx)))
     assert no_test.test_accuracy is None
     assert len(no_test.val_losses) == no_test.epochs_run
 

@@ -148,8 +148,9 @@ def _set_based_randomize_graph(adjacency, p_graph, seed):
 
 
 def test_randomize_graph_matches_set_based_cleanup(small_constructive, tiny_dataset):
-    """Deduplicating through unique integer keys gives the CSR arrays,
-    bit for bit, that the set of index tuples gave."""
+    """Building the rewired graph with `_edges_to_adjacency`, which drops
+    self-loops and collapses repeated pairs, gives the CSR arrays, bit for
+    bit, that the set of index tuples gave."""
     for adjacency in (small_constructive.adjacency, tiny_dataset.adjacency):
         for p in (1, 10, 50, 100):
             for seed in range(5):

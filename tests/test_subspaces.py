@@ -606,6 +606,7 @@ def test_optimize_dimensions_discriminates_from_null(small_constructive):
     ({"rounds": 0}, "round"),
     ({"rounds": -1}, "round"),
     ({"n_null": 0}, "null"),
+    ({"metric": "cosine"}, "unknown metric: 'cosine'"),
 ])
 def test_optimize_dimensions_rejects_nonpositive_counts(small_constructive, counts, message):
     with pytest.raises(ValueError, match=message):
