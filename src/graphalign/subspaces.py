@@ -159,8 +159,9 @@ def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndar
     each eigenvector's largest-magnitude entry is made positive, so the
     output is deterministic even for degenerate spectra.
     :func:`optimize_dimensions` calls it once for the original graph and,
-    for each null, once per search (chordal) or once per round
-    (projection and grassmann).
+    for each null, once per search (chordal) or at most once per round
+    (projection and grassmann; a null whose next-round grid was scored in
+    the round before is not solved again).
     """
     if sp.issparse(a_hat):
         a_hat = a_hat.toarray()
@@ -192,8 +193,10 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got k={k}")
     if k + 1 < n:
-        dense = a_hat.toarray() if sp.issparse(a_hat) else np.asarray(a_hat, dtype=np.float64)
-        w, v = scipy.linalg.eigh(dense, subset_by_index=[n - k - 1, n - 1])
+        # An owned Fortran-order copy, which LAPACK overwrites in place.
+        dense = (a_hat.toarray(order="F") if sp.issparse(a_hat)
+                 else np.array(a_hat, dtype=np.float64, order="F"))
+        w, v = scipy.linalg.eigh(dense, subset_by_index=[n - k - 1, n - 1], overwrite_a=True)
         # Ascending order: w[0] is lambda_{k+1}, w[1] is lambda_k.
         if w[1] - w[0] > n * np.finfo(np.float64).eps * max(1.0, float(np.abs(w).max())):
             return OrthonormalBasis(_fix_signs(v[:, :0:-1].copy()))  # C order, like the full spectrum
@@ -486,14 +489,72 @@ def _chordal_sam_table(u: np.ndarray, v: np.ndarray, y: np.ndarray, kx_max: int,
     return np.sqrt(sams, out=sams)
 
 
-def _objective(sam_of: Callable, u: np.ndarray, v: np.ndarray, nulls) -> np.ndarray:
+def _refine(objective: np.ndarray, kx_grid: np.ndarray, ka_grid: np.ndarray,
+            grid_points: int) -> tuple[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """The argmax (k_x, k_a) of `objective` on the grid, and the next
+    round's grids: the interval between the argmax's neighbors, clipped to
+    the current grid at the boundaries."""
+    ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
+    next_grids = tuple(
+        dimension_grid(int(g[max(i - 1, 0)]), int(g[min(i + 1, len(g) - 1)]), grid_points)
+        for g, i in ((kx_grid, ix), (ka_grid, ia))
+    )
+    return (int(kx_grid[ix]), int(ka_grid[ia])), next_grids
+
+
+def _null_sams(sam_of: Callable, u_null: np.ndarray, a_hat_null, cells: tuple,
+               predict: Callable | None):
+    """One null's SAM at `cells` from one solve of its full graph spectrum
+    and, when `predict` maps that SAM to the cells of the next round, the
+    pair of those cells and the null's SAM there (else None). The spectrum
+    is dropped on return."""
+    v_null = graph_spectrum(a_hat_null)[1]
+    null_sam = sam_of(u_null, v_null, *cells)
+    if predict is None:
+        return null_sam, None
+    ahead = predict(null_sam)
+    return null_sam, (ahead, sam_of(u_null, v_null, *ahead))
+
+
+def _objective(sam_of: Callable, u: np.ndarray, v: np.ndarray, nulls, cells: tuple = (),
+               kept: list | None = None, grid_points: int | None = None) -> np.ndarray:
     """The search objective, the mean null SAM minus the data's SAM, where
-    ``sam_of(u, v)`` gives the SAM of the feature and graph factors at the
-    cells searched. Each null's full graph spectrum is solved in turn and
-    dropped once its SAM has been added."""
-    objective = -sam_of(u, v)
-    for perm, a_hat_null in nulls:
-        objective += sam_of(u[perm], graph_spectrum(a_hat_null)[1]) / len(nulls)
+    ``sam_of(u, v, *cells)`` gives the SAM of the feature and graph factors
+    at the cells searched: every cell for the chordal table, or one
+    (k_x, k_a) grid. Each null's full graph spectrum is solved in turn, in
+    :func:`_null_sams`, and dropped before the next one is solved.
+
+    A grid round passes `kept`, one entry per null, which it updates: a null
+    whose entry is ``(cells, sam)`` for this round's cells adds that SAM and
+    is not solved. When another round follows, it passes its `grid_points`,
+    and every null solved here is also scored at the grids that
+    :func:`_refine` gives for the running objective, in which the nulls not
+    yet seen count at the mean of those seen; that score is the null's new
+    entry. At the last null the running objective is the objective bit for
+    bit, so the last null's entry always matches the next round.
+    """
+    objective = -sam_of(u, v, *cells)
+    n_null, seen_total = len(nulls), 0.0
+    kept = [None] * n_null if kept is None else kept
+
+    def predict(null_sam):  # called inside the loop: reads its current index and total
+        seen = index + 1
+        running = (objective + null_sam / n_null
+                   + (n_null - seen) / (n_null * seen) * (seen_total + null_sam))
+        return _refine(running, *cells, grid_points)[1]
+
+    for index, (perm, a_hat_null) in enumerate(nulls):
+        entry = kept[index]
+        if entry is not None and all(map(np.array_equal, entry[0], cells)):
+            null_sam, entry = entry[1], None
+        else:
+            null_sam, entry = _null_sams(sam_of, u[perm], a_hat_null, cells,
+                                         None if grid_points is None else predict)
+        kept[index] = entry
+        objective += null_sam / n_null
+        if grid_points is not None:
+            seen_total = seen_total + null_sam
+        del null_sam  # a chordal table is the objective's size: free it before the next solve
     return objective
 
 
@@ -530,9 +591,15 @@ def optimize_dimensions(
     every round reads its grid from it (round-1 cells bitwise equal a
     per-grid evaluation). Projection and grassmann are not sums: each cell
     needs the eigenvalues of its own Gram block (derived at
-    :func:`_sq_distance_block_grid`), so each round evaluates its grid and
-    solves each null's full spectrum again. The distances and SAM at k*
-    come from :func:`_alignment`.
+    :func:`_sq_distance_block_grid`), so each round evaluates its own grid.
+    While a null's spectrum is in hand, it is also scored on the grid that
+    the running objective predicts for the next round, and only that small
+    grid is kept; a null whose prediction matches the next round's grid is
+    not solved again there (the last null always matches). A miss, or a
+    third round after a hit, solves the spectrum again, so no null is solved
+    more than once per round, and every grid value comes from the same
+    evaluation as without the prediction. The distances and SAM at k* come
+    from :func:`_alignment`.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric: {metric!r}")
@@ -544,6 +611,12 @@ def optimize_dimensions(
     y_basis = groundtruth_basis(one_hot(dataset.labels, f))
     y = y_basis.matrix
     u_orig, _ = left_singular_factor(row_normalize_features(dataset.features))
+    if u_orig.shape[1] < f:
+        raise ValueError(
+            f"the feature factor has {u_orig.shape[1]} columns (distinct feature rows or "
+            f"features), fewer than the label dimension: the k_x grid starts at the class "
+            f"count, {f}"
+        )
     kx_hi, ka_hi = min(u_orig.shape[1], n - 1), n - 1
     _, v_orig = graph_spectrum(normalized_adjacency(dataset.adjacency))
     nulls = _null_ensemble(dataset, seed, n_null)
@@ -551,6 +624,11 @@ def optimize_dimensions(
     if metric == "chordal":
         table = _objective(partial(_chordal_sam_table, y=y, kx_max=kx_hi, ka_max=ka_hi),
                            u_orig, v_orig, nulls)
+    else:
+        def sam_at(u, v, kx_grid, ka_grid):
+            return _sam_grid(u, v, y, kx_grid, ka_grid, metric)
+
+        kept = [None] * n_null
 
     kx_grid = dimension_grid(f, kx_hi, grid_points)
     ka_grid = dimension_grid(f, ka_hi, grid_points)
@@ -558,19 +636,9 @@ def optimize_dimensions(
         if metric == "chordal":
             objective = table[kx_grid - 1][:, ka_grid - 1]
         else:
-            objective = _objective(
-                partial(_sam_grid, y=y, kx_grid=kx_grid, ka_grid=ka_grid, metric=metric),
-                u_orig, v_orig, nulls,
-            )
-        ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
-        kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
-        if round_index + 1 < rounds:
-            # Next round re-grids the interval between the argmax's neighbors,
-            # clipped to the current grid at the boundaries.
-            kx_grid, ka_grid = (
-                dimension_grid(int(g[max(i - 1, 0)]), int(g[min(i + 1, len(g) - 1)]), grid_points)
-                for g, i in ((kx_grid, ix), (ka_grid, ia))
-            )
+            objective = _objective(sam_at, u_orig, v_orig, nulls, (kx_grid, ka_grid), kept,
+                                   grid_points if round_index + 1 < rounds else None)
+        (kx_best, ka_best), (kx_grid, ka_grid) = _refine(objective, kx_grid, ka_grid, grid_points)
 
     return _alignment(OrthonormalBasis(u_orig[:, :kx_best]), OrthonormalBasis(v_orig[:, :ka_best]),
                       y_basis, metric)

@@ -106,6 +106,18 @@ def test_align_quick(dataset_files, capsys):
     assert payload["sam"] >= 0.0
 
 
+def test_align_on_features_narrower_than_the_labels_exits_1(dataset_files, tmp_path, capsys):
+    """Two distinct feature rows span two columns, fewer than the three
+    classes where the k_x grid starts."""
+    ds = load_dataset(*dataset_files)
+    edges, features = tmp_path / "e.txt", tmp_path / "f.txt"
+    save_dataset(replace(ds, features=np.eye(ds.n_features)[np.arange(ds.n_nodes) % 2]),
+                 edges, features)
+    code = cli(["align", *file_args((str(edges), str(features))), "--nulls", "1"])
+    assert code == 1
+    assert "has 2 columns" in capsys.readouterr().err
+
+
 def test_randomize_deterministic(dataset_files, tmp_path, capsys):
     outs = []
     for tag in ("a", "b"):

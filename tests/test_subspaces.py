@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from functools import partial
 
 import numpy as np
@@ -30,12 +31,15 @@ from graphalign import (
     subspace_distance,
 )
 from graphalign.datasets import row_normalize_features
+from graphalign import subspaces
 from graphalign.subspaces import (
     DistanceMatrix3,
+    _alignment,
     _chordal_sam_table,
     _chordal_tables,
     _null_ensemble,
     _objective,
+    _sam_grid,
     _sq_distance_grids,
     _sq_distances_from_grams,
     graph_spectrum,
@@ -160,6 +164,23 @@ def test_graph_basis_on_repeated_eigenvalues_away_from_the_cut(small_constructiv
             gap = w[k - 1] - w[k]
             assert gap <= 1e-12 if k in ties else gap > 1e-4
             assert _largest_angle(graph_basis(a_hat, k).matrix, v[:, :k]) <= 1e-12
+
+
+def test_graph_basis_is_the_subset_solve_of_a_copy(small_constructive):
+    """The basis solves a Fortran-order copy in place: the eigenpairs are
+    those of the subset solve on a C-order densification, and a dense
+    operator passed in is left as it was."""
+    a_hat = normalized_adjacency(randomize_graph(small_constructive.adjacency, 100, 3))
+    n = a_hat.shape[0]
+    dense = a_hat.toarray()
+    before = dense.copy()
+    for k in (1, 10, 60):
+        _, v = scipy.linalg.eigh(a_hat.toarray(), subset_by_index=[n - k - 1, n - 1])
+        want = v[:, :0:-1].copy()
+        want *= np.where(want[np.abs(want).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+        assert np.array_equal(graph_basis(a_hat, k).matrix, want)
+        assert np.array_equal(graph_basis(dense, k).matrix, want)
+        assert np.array_equal(dense, before)
 
 
 def test_graph_basis_two_node_edge():
@@ -703,6 +724,114 @@ def test_optimize_dimensions_matches_per_round_null_search(small_constructive, m
     for got, want in ((res.distances.d_xa, distances.d_xa), (res.distances.d_xy, distances.d_xy),
                       (res.distances.d_ay, distances.d_ay)):
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def _per_round_sam_grid_search(dataset, metric, n_null, rounds, seed, grid_points=10):
+    """The projection and grassmann search before nulls were scored ahead:
+    every round solves every null's full spectrum again and evaluates its
+    grid with :func:`_sam_grid`."""
+    n, f = dataset.n_nodes, dataset.num_classes
+    y_basis = groundtruth_basis(one_hot(dataset.labels, f))
+    y = y_basis.matrix
+    u, _ = left_singular_factor(row_normalize_features(dataset.features))
+    _, v = graph_spectrum(normalized_adjacency(dataset.adjacency))
+    nulls = _null_ensemble(dataset, seed, n_null)
+    kx_grid = dimension_grid(f, min(u.shape[1], n - 1), grid_points)
+    ka_grid = dimension_grid(f, n - 1, grid_points)
+    for _ in range(rounds):
+        objective = -_sam_grid(u, v, y, kx_grid, ka_grid, metric)
+        for perm, a_hat_null in nulls:
+            v_null = graph_spectrum(a_hat_null)[1]
+            objective += _sam_grid(u[perm], v_null, y, kx_grid, ka_grid, metric) / n_null
+        ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
+        kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
+        kx_grid = dimension_grid(int(kx_grid[max(ix - 1, 0)]),
+                                 int(kx_grid[min(ix + 1, len(kx_grid) - 1)]), grid_points)
+        ka_grid = dimension_grid(int(ka_grid[max(ia - 1, 0)]),
+                                 int(ka_grid[min(ia + 1, len(ka_grid) - 1)]), grid_points)
+    return _alignment(OrthonormalBasis(u[:, :kx_best]), OrthonormalBasis(v[:, :ka_best]),
+                      y_basis, metric).to_dict()
+
+
+@pytest.mark.parametrize("metric", ["projection", "grassmann"])
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("n_null", [1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_grid_search_scored_ahead_is_bitwise_the_per_round_search(small_constructive, metric,
+                                                                  rounds, n_null, seed):
+    want = _per_round_sam_grid_search(small_constructive, metric, n_null, rounds, seed)
+    res = optimize_dimensions(small_constructive, metric=metric, n_null=n_null, rounds=rounds,
+                              seed=seed)
+    assert res.to_dict() == want
+
+
+def _count_spectrum_solves(monkeypatch) -> list:
+    """Replace the search's spectrum solver with one that records each call."""
+    solve, calls = subspaces.graph_spectrum, []
+
+    def counted(a_hat):
+        calls.append(a_hat.shape[0])
+        return solve(a_hat)
+
+    monkeypatch.setattr(subspaces, "graph_spectrum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("metric", ["projection", "grassmann"])
+def test_grid_search_solves_a_lone_null_once(small_constructive, metric, monkeypatch):
+    """The last null's next-round grid is always the one scored ahead, so a
+    lone null is solved once however many rounds follow; per-round solving
+    took three solves at two rounds."""
+    calls = _count_spectrum_solves(monkeypatch)
+    optimize_dimensions(small_constructive, metric=metric, n_null=1, rounds=2, seed=0)
+    assert len(calls) == 2  # the data and the null
+
+
+@pytest.mark.parametrize("metric", ["projection", "grassmann"])
+@pytest.mark.parametrize("n_null, rounds", [(2, 2), (4, 2), (2, 3), (4, 3)])
+def test_grid_search_never_solves_more_than_once_per_round(small_constructive, metric, n_null,
+                                                           rounds, monkeypatch):
+    calls = _count_spectrum_solves(monkeypatch)
+    optimize_dimensions(small_constructive, metric=metric, n_null=n_null, rounds=rounds, seed=3)
+    # Per-round solving takes 1 + n_null * rounds; the last null hits at least once.
+    assert 1 + n_null <= len(calls) <= n_null * rounds
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_chordal_search_solves_each_null_once(small_constructive, rounds, monkeypatch):
+    calls = _count_spectrum_solves(monkeypatch)
+    optimize_dimensions(small_constructive, metric="chordal", n_null=3, rounds=rounds, seed=0)
+    assert len(calls) == 3 + 1
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_null_spectra_are_dropped_before_the_next_solve(small_constructive, metric,
+                                                        monkeypatch):
+    """At most one null's N x N spectrum is held at a time: every spectrum
+    handed out before, except the data's, is gone when a solve starts."""
+    solve, held = subspaces.graph_spectrum, []
+
+    def tracked(a_hat):
+        assert all(ref() is None for pair in held[1:] for ref in pair)
+        spectrum = solve(a_hat)
+        held.append([weakref.ref(part) for part in spectrum])
+        return spectrum
+
+    monkeypatch.setattr(subspaces, "graph_spectrum", tracked)
+    optimize_dimensions(small_constructive, metric=metric, n_null=3, rounds=3, seed=1)
+    assert len(held) >= 4
+
+
+@pytest.mark.parametrize("features, columns", [
+    (np.eye(2)[np.arange(200) % 2], 2),  # two distinct rows
+    (np.random.default_rng(0).random((200, 3)), 3),  # three features
+])
+def test_optimize_dimensions_refuses_a_factor_narrower_than_the_labels(small_constructive,
+                                                                       features, columns):
+    narrow = dataclasses.replace(small_constructive, features=features)
+    message = f"has {columns} columns .* label dimension: .* class count, 4$"
+    with pytest.raises(ValueError, match=message):
+        optimize_dimensions(narrow, n_null=1)
 
 
 def _per_grid_chordal_sam(u, v, y, kx_grid, ka_grid):
