@@ -50,7 +50,8 @@ AXES = ("graph", "features", "both")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: dataset, degradation axis, grid and model variants."""
+    """One sweep: dataset, degradation axis, grid and model variants. `base_seed`
+    seeds every training, so a `config.seed` off its default is refused."""
 
     dataset: Dataset
     name: str
@@ -78,6 +79,8 @@ class SweepSpec:
         for name in ("percents", "variants"):
             if (repeated := _first_repeat(getattr(self, name))) is not None:
                 raise ValueError(f"{name} lists {repeated!r} twice")
+        if self.config.seed != GcnConfig.seed:
+            raise ValueError("config.seed would be ignored: base_seed seeds every training")
 
 
 def _first_repeat(values: tuple):
@@ -150,8 +153,8 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
     come from one `_alignment` of the bases. `basis_x` and `basis_y` are
     the sweep's feature and label bases of the original data; `basis_x`
     with the rows permuted as the cell permutes its features is bitwise
-    that cell's feature basis (see `left_singular_factor`). Module-level
-    so worker processes can unpickle it.
+    that cell's feature basis (see `left_singular_factor`). Seeds follow
+    `run_sweep_multi`. Module-level so worker processes can unpickle it.
     """
     spec, dims, metrics, split, basis_x, basis_y, percent, realization = args
     ds, rows = _randomized_dataset(spec.dataset, spec.axis, percent, spec.base_seed, realization)
@@ -160,11 +163,10 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
     basis_a = graph_basis(normalized_adjacency(ds.adjacency), dims.k_star_a)
 
     accuracies: dict[str, tuple[float, int]] = {}
-    for index, variant in enumerate(spec.variants):
-        train_seed = derive_seed(spec.base_seed, percent, realization, 2 + index)
-        config = replace(spec.config, seed=train_seed)
+    for variant in spec.variants:
+        train_seed = derive_seed(spec.base_seed, percent, realization, 2 + VARIANTS.index(variant))
         try:
-            report = train(ds, variant, config, split=split)
+            report = train(ds, variant, replace(spec.config, seed=train_seed), split=split)
             accuracy = float("nan") if report.test_accuracy is None else report.test_accuracy
         except TrainingDiverged:
             accuracy = float("nan")
@@ -192,23 +194,21 @@ def run_sweep_multi(
 ) -> dict[str, list[SweepRow]]:
     """Sweep once, reporting rows under several distance metrics.
 
-    Dimensions come from :func:`graphalign.subspaces.optimize_dimensions`
-    on the unrandomized dataset and are held fixed across the sweep.
-    Realizations are independent, so with ``workers > 1`` cells run in a
-    process pool; results are merged back in (percent, realization,
-    variant) order either way, making the output deterministic per base
-    seed. A training that diverges is recorded with NaN accuracy.
+    k_x and k_a come from `dims` (as :func:`optimize_dimensions` picks them on
+    the unrandomized dataset), k_y from the labels. Variant v of cell (p, r)
+    trains with seed derive_seed(base_seed, p, r, 2 + VARIANTS.index(v)),
+    whatever else `spec.variants` lists; `SweepSpec` refuses a `config.seed`.
+    Cells are independent, so with ``workers > 1`` they run in a process
+    pool; rows are merged in (percent, realization, variant) order either
+    way. A training that diverges is recorded with NaN accuracy.
     """
-    unknown = set(metrics) - set(METRICS)
-    if unknown:
+    if unknown := set(metrics) - set(METRICS):
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
     if workers < 1:
         raise ValueError("need at least one worker")
     split = build_split(spec.dataset.labels, seed=spec.base_seed)
     basis_x = feature_basis(row_normalize_features(spec.dataset.features), dims.k_star_x)
-    basis_y = groundtruth_basis(
-        one_hot(spec.dataset.labels, spec.dataset.num_classes), dims.k_star_y
-    )
+    basis_y = groundtruth_basis(one_hot(spec.dataset.labels, spec.dataset.num_classes))
     tasks = [
         (spec, dims, tuple(metrics), split, basis_x, basis_y, percent, realization)
         for percent in spec.percents

@@ -47,6 +47,7 @@ __all__ = [
     "propagation_operator",
 ]
 
+# A sweep seeds each variant's training by its index here: append, never reorder.
 VARIANTS = ("gcn", "no_graph", "no_features", "complete_graph", "sgc")
 
 # Propagation steps K of the simplified variant.

@@ -235,9 +235,9 @@ def feature_basis(x: np.ndarray, k: int) -> OrthonormalBasis:
     return OrthonormalBasis(u[:, :k])
 
 
-def groundtruth_basis(y: np.ndarray, k: int | None = None) -> OrthonormalBasis:
-    """Basis of the label subspace; k defaults to the count of nonempty classes."""
-    return feature_basis(y, int(np.count_nonzero(y.any(axis=0))) if k is None else k)
+def groundtruth_basis(y: np.ndarray) -> OrthonormalBasis:
+    """Label subspace of one-hot `y`; its dimension counts the classes with a member."""
+    return feature_basis(y, int(np.count_nonzero(y.any(axis=0))))
 
 
 def principal_angles(b1: OrthonormalBasis, b2: OrthonormalBasis) -> PrincipalAngles:
@@ -312,9 +312,8 @@ def _alignment(basis_x: OrthonormalBasis, basis_a: OrthonormalBasis,
 def alignment_at(dataset: Dataset, kx: int, ka: int, metric: str = "chordal") -> AlignmentResult:
     """Alignment at explicitly chosen dimensions, skipping optimization.
 
-    The label dimension is the count of classes with a member. Features
-    enter the subspace analysis row-normalized, the same preprocessing the
-    classifier sees.
+    The label dimension is :func:`groundtruth_basis`'s. Features enter the
+    subspace analysis row-normalized, the preprocessing the classifier sees.
     """
     return _alignment(
         feature_basis(row_normalize_features(dataset.features), kx),
@@ -568,11 +567,11 @@ def optimize_dimensions(
 ) -> AlignmentResult:
     """Pick subspace dimensions maximizing discrimination from the null model.
 
-    The label dimension is pinned to the count of nonempty classes. The
-    feature and graph dimensions are scanned jointly on an integer grid (class
-    count up to the feature factor's column count, respectively the node count
-    minus one); the objective at each cell is the mean alignment measure over
-    `n_null` fully randomized copies minus that of the original data; the argmax wins.
+    The label dimension f is pinned to :func:`groundtruth_basis`'s, the count
+    of classes with a member. The feature and graph dimensions are scanned
+    jointly on an integer grid from f up to the feature factor's column
+    count, respectively the node count minus one; the objective at each cell
+    is the mean SAM of `n_null` fully randomized copies minus the data's; the argmax wins.
     Each later round re-grids the interval between the neighbors of the
     previous argmax. Features are row-normalized before the decomposition,
     matching the classifier's preprocessing. Deterministic per seed.
@@ -607,9 +606,9 @@ def optimize_dimensions(
         raise ValueError("need at least one null realization")
     if rounds < 1:
         raise ValueError("need at least one round")
-    n, f = dataset.n_nodes, dataset.num_classes
-    y_basis = groundtruth_basis(one_hot(dataset.labels, f))
-    y = y_basis.matrix
+    n = dataset.n_nodes
+    y_basis = groundtruth_basis(one_hot(dataset.labels, dataset.num_classes))
+    y, f = y_basis.matrix, y_basis.dim
     u_orig, _ = left_singular_factor(row_normalize_features(dataset.features))
     if u_orig.shape[1] < f:
         raise ValueError(

@@ -129,8 +129,8 @@ def test_randomize_deterministic(dataset_files, tmp_path, capsys):
         outs.append((oe, of))
     capsys.readouterr()
     (ea, fa), (eb, fb) = outs
-    assert open(ea).read() == open(eb).read()
-    assert open(fa).read() == open(fb).read()
+    assert Path(ea).read_text() == Path(eb).read_text()
+    assert Path(fa).read_text() == Path(fb).read_text()
     degraded = load_dataset(ea, fa)
     assert degraded.n_nodes == 60
 

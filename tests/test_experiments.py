@@ -7,12 +7,14 @@ import pytest
 
 from graphalign import (
     METRICS,
+    VARIANTS,
     ConstructiveSpec,
     GcnConfig,
     SweepRow,
     SweepSpec,
     alignment_at,
     correlate,
+    derive_seed,
     generate_constructive,
     pearson,
     read_rows,
@@ -98,6 +100,35 @@ def test_multi_metric_sweep_shares_trainings(sweep_dataset):
         assert rc.sam >= rp.sam  # chordal sums all angles, projection takes one
 
 
+def test_variants_keep_the_order_the_seed_rule_reads():
+    """A training's seed stream is its variant's index here, so a reorder
+    would move the seeds, and rows, of every sweep."""
+    assert VARIANTS == ("gcn", "no_graph", "no_features", "complete_graph", "sgc")
+
+
+def test_variant_rows_do_not_depend_on_the_other_variants_listed(sweep_dataset):
+    """The gcn rows of a sweep are the same whether gcn runs alone or after
+    sgc: each training's seed follows its variant, not its list position."""
+    dims = alignment_at(sweep_dataset, 5, 4)
+    alone = run_sweep_multi(quick_spec(sweep_dataset, variants=("gcn",)), dims)["chordal"]
+    after = run_sweep_multi(quick_spec(sweep_dataset, variants=("sgc", "gcn")), dims)["chordal"]
+    assert [r for r in after if r.variant == "gcn"] == alone
+    for row in after:
+        stream = 2 + VARIANTS.index(row.variant)
+        assert row.seed == derive_seed(0, row.percent, row.realization, stream)
+
+
+def test_sweep_label_dimension_comes_from_the_labels(sweep_dataset):
+    """`dims` sets k_x and k_a only: a k_star_y off the labels' dimension
+    changes no row."""
+    dims = alignment_at(sweep_dataset, 5, 4)
+    spec = quick_spec(sweep_dataset, realizations=1)
+    want = run_sweep_multi(spec, dims, metrics=("chordal", "projection"))
+    got = run_sweep_multi(spec, replace(dims, k_star_y=2), metrics=("chordal", "projection"))
+    assert got == want
+    assert all(row.ky == 3 for rows in got.values() for row in rows)
+
+
 @pytest.mark.parametrize("axis", ["graph", "features", "both"])
 def test_cell_alignment_equals_alignment_at_on_its_realization(sweep_dataset, axis):
     """Every cell indexes the sweep's one feature basis with its row
@@ -159,6 +190,10 @@ def test_sweep_spec_validation(sweep_dataset):
         quick_spec(sweep_dataset, percents=(0, 0, 50))
     with pytest.raises(ValueError, match="variants lists 'gcn' twice"):
         quick_spec(sweep_dataset, variants=("gcn", "sgc", "gcn"))
+    # Every training's seed derives from base_seed, so a config seed wrote
+    # the same rows as the default.
+    with pytest.raises(ValueError, match="config.seed would be ignored: base_seed"):
+        quick_spec(sweep_dataset, config=GcnConfig(max_epochs=15, seed=5))
     with pytest.raises(ValueError, match="metrics"):
         run_sweep_multi(quick_spec(sweep_dataset), alignment_at(sweep_dataset, 5, 4),
                         metrics=("euclidean",))

@@ -404,6 +404,24 @@ def test_alignment_label_dimension_counts_present_classes(small_constructive):
     assert optimize_dimensions(ds, n_null=1, rounds=1).k_star_y == 3
 
 
+@pytest.mark.parametrize("metric", ["chordal", "projection"])
+def test_search_grids_start_at_the_label_dimension(small_constructive, metric, monkeypatch):
+    """Labels that skip a class pin a label basis of dimension 3, below the
+    class count 4: both grids start at the label basis's dimension."""
+    labels = small_constructive.labels
+    ds = dataclasses.replace(small_constructive, labels=np.where(labels == 1, 0, labels))
+    grid, lows = subspaces.dimension_grid, []
+
+    def spied(lo, hi, points):
+        lows.append(lo)
+        return grid(lo, hi, points)
+
+    monkeypatch.setattr(subspaces, "dimension_grid", spied)
+    result = optimize_dimensions(ds, metric=metric, n_null=2, rounds=1, seed=0)
+    assert result.k_star_y == 3
+    assert lows[:2] == [3, 3]  # the k_x and k_a grids of round one
+
+
 def test_dimension_grid_floor_of_linspace():
     assert dimension_grid(10, 500, 10).tolist() == [10, 64, 118, 173, 227, 282, 336, 391, 445, 500]
     assert dimension_grid(7, 1433, 10).tolist() == [7, 165, 323, 482, 640, 799, 957, 1116, 1274, 1433]
