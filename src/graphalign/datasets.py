@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
@@ -105,6 +106,9 @@ class ConstructiveSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_nodes", "n_communities", "n_features", "features_per_community", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_communities < 2 or self.features_per_community < 1:
             raise ValueError("need at least 2 communities and 1 feature per community")
         if self.n_nodes < self.n_communities:

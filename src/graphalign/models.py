@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -77,6 +78,9 @@ class GcnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("hidden_units", "max_epochs", "patience", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not all(map(math.isfinite, (self.learning_rate, self.dropout, self.l2_weight))):
             raise ValueError("learning_rate, dropout and l2_weight must be finite")
         if min(self.hidden_units, self.learning_rate, self.max_epochs, self.patience) <= 0:

@@ -12,7 +12,6 @@ original data and a fully randomized null ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -442,7 +441,7 @@ def _sq_distance_grids(
     submatrix of the full cross-product. Each cell comes from one
     symmetric eigenvalue solve of size min(k_x, k_a, n - k_a), derived at
     :func:`_sq_distance_block_grid`. The chordal search reads every cell
-    off :func:`_chordal_sam_table` instead. The grid only ranks cells,
+    off :func:`_chordal_tables` instead. The grid only ranks cells,
     and the reported distances come from :func:`_alignment`.
     """
     label_dim = np.array([y.shape[1]])
@@ -450,18 +449,6 @@ def _sq_distance_grids(
     d2_xy = _sq_distance_block_grid(u, y, kx_grid, label_dim, metric)[:, 0]
     d2_ay = _sq_distance_block_grid(v, y, ka_grid, label_dim, metric)[:, 0]
     return d2_xa, d2_xy, d2_ay
-
-
-def _sam_grid(
-    u: np.ndarray,
-    v: np.ndarray,
-    y: np.ndarray,
-    kx_grid: np.ndarray,
-    ka_grid: np.ndarray,
-    metric: str,
-) -> np.ndarray:
-    d2_xa, d2_xy, d2_ay = _sq_distance_grids(u, v, y, kx_grid, ka_grid, metric)
-    return np.sqrt(2.0 * (d2_xa + d2_xy[:, None] + d2_ay[None, :]))
 
 
 def _null_ensemble(
@@ -477,15 +464,13 @@ def _null_ensemble(
     return nulls
 
 
-def _chordal_sam_table(u: np.ndarray, v: np.ndarray, y: np.ndarray, kx_max: int,
-                       ka_max: int) -> np.ndarray:
-    """Chordal SAM at every integer cell, indexed [k_x - 1, k_a - 1], in
-    place in the buffer of :func:`_chordal_tables`."""
-    sams, d2_xy, d2_ay = _chordal_tables(u, v, y, kx_max, ka_max)
-    sams += d2_xy[:, None]
-    sams += d2_ay[None, :]
-    sams *= 2.0
-    return np.sqrt(sams, out=sams)
+def _sam_table(d2_xa: np.ndarray, d2_xy: np.ndarray, d2_ay: np.ndarray) -> np.ndarray:
+    """SAM sqrt(2 (d2_xa + d2_xy + d2_ay)) at every (k_x, k_a) cell, in
+    place in the buffer of `d2_xa`, which the caller owns."""
+    d2_xa += d2_xy[:, None]
+    d2_xa += d2_ay[None, :]
+    d2_xa *= 2.0
+    return np.sqrt(d2_xa, out=d2_xa)
 
 
 def _refine(objective: np.ndarray, kx_grid: np.ndarray, ka_grid: np.ndarray,
@@ -501,27 +486,13 @@ def _refine(objective: np.ndarray, kx_grid: np.ndarray, ka_grid: np.ndarray,
     return (int(kx_grid[ix]), int(ka_grid[ia])), next_grids
 
 
-def _null_sams(sam_of: Callable, u_null: np.ndarray, a_hat_null, cells: tuple,
-               predict: Callable | None):
-    """One null's SAM at `cells` from one solve of its full graph spectrum
-    and, when `predict` maps that SAM to the cells of the next round, the
-    pair of those cells and the null's SAM there (else None). The spectrum
-    is dropped on return."""
-    v_null = graph_spectrum(a_hat_null)[1]
-    null_sam = sam_of(u_null, v_null, *cells)
-    if predict is None:
-        return null_sam, None
-    ahead = predict(null_sam)
-    return null_sam, (ahead, sam_of(u_null, v_null, *ahead))
-
-
 def _objective(sam_of: Callable, u: np.ndarray, v: np.ndarray, nulls, cells: tuple = (),
                kept: list | None = None, grid_points: int | None = None) -> np.ndarray:
     """The search objective, the mean null SAM minus the data's SAM, where
     ``sam_of(u, v, *cells)`` gives the SAM of the feature and graph factors
     at the cells searched: every cell for the chordal table, or one
-    (k_x, k_a) grid. Each null's full graph spectrum is solved in turn, in
-    :func:`_null_sams`, and dropped before the next one is solved.
+    (k_x, k_a) grid. The loop solves each null's full graph spectrum in turn
+    and drops it before the next one is solved.
 
     A grid round passes `kept`, one entry per null, which it updates: a null
     whose entry is ``(cells, sam)`` for this round's cells adds that SAM and
@@ -535,21 +506,20 @@ def _objective(sam_of: Callable, u: np.ndarray, v: np.ndarray, nulls, cells: tup
     objective = -sam_of(u, v, *cells)
     n_null, seen_total = len(nulls), 0.0
     kept = [None] * n_null if kept is None else kept
-
-    def predict(null_sam):  # called inside the loop: reads its current index and total
-        seen = index + 1
-        running = (objective + null_sam / n_null
-                   + (n_null - seen) / (n_null * seen) * (seen_total + null_sam))
-        return _refine(running, *cells, grid_points)[1]
-
     for index, (perm, a_hat_null) in enumerate(nulls):
-        entry = kept[index]
+        entry, kept[index] = kept[index], None
         if entry is not None and all(map(np.array_equal, entry[0], cells)):
-            null_sam, entry = entry[1], None
+            null_sam = entry[1]
         else:
-            null_sam, entry = _null_sams(sam_of, u[perm], a_hat_null, cells,
-                                         None if grid_points is None else predict)
-        kept[index] = entry
+            u_null, v_null = u[perm], graph_spectrum(a_hat_null)[1]
+            null_sam = sam_of(u_null, v_null, *cells)
+            if grid_points is not None:
+                seen = index + 1
+                running = (objective + null_sam / n_null
+                           + (n_null - seen) / (n_null * seen) * (seen_total + null_sam))
+                ahead = _refine(running, *cells, grid_points)[1]
+                kept[index] = ahead, sam_of(u_null, v_null, *ahead)
+            del u_null, v_null  # one null spectrum at a time: free it before the next solve
         objective += null_sam / n_null
         if grid_points is not None:
             seen_total = seen_total + null_sam
@@ -613,19 +583,20 @@ def optimize_dimensions(
     if u_orig.shape[1] < f:
         raise ValueError(
             f"the feature factor has {u_orig.shape[1]} columns (distinct feature rows or "
-            f"features), fewer than the label dimension: the k_x grid starts at the class "
-            f"count, {f}"
+            f"features), fewer than the label dimension {f}, where the k_x grid starts"
         )
     kx_hi, ka_hi = min(u_orig.shape[1], n - 1), n - 1
     _, v_orig = graph_spectrum(normalized_adjacency(dataset.adjacency))
     nulls = _null_ensemble(dataset, seed, n_null)
 
     if metric == "chordal":
-        table = _objective(partial(_chordal_sam_table, y=y, kx_max=kx_hi, ka_max=ka_hi),
-                           u_orig, v_orig, nulls)
+        def sam_of(u, v):
+            return _sam_table(*_chordal_tables(u, v, y, kx_hi, ka_hi))
+
+        table = _objective(sam_of, u_orig, v_orig, nulls)
     else:
-        def sam_at(u, v, kx_grid, ka_grid):
-            return _sam_grid(u, v, y, kx_grid, ka_grid, metric)
+        def sam_of(u, v, kx_grid, ka_grid):
+            return _sam_table(*_sq_distance_grids(u, v, y, kx_grid, ka_grid, metric))
 
         kept = [None] * n_null
 
@@ -635,7 +606,7 @@ def optimize_dimensions(
         if metric == "chordal":
             objective = table[kx_grid - 1][:, ka_grid - 1]
         else:
-            objective = _objective(sam_at, u_orig, v_orig, nulls, (kx_grid, ka_grid), kept,
+            objective = _objective(sam_of, u_orig, v_orig, nulls, (kx_grid, ka_grid), kept,
                                    grid_points if round_index + 1 < rounds else None)
         (kx_best, ka_best), (kx_grid, ka_grid) = _refine(objective, kx_grid, ka_grid, grid_points)
 

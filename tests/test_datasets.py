@@ -198,6 +198,18 @@ def test_spec_invariants():
             ConstructiveSpec(**sizes)
 
 
+@pytest.mark.parametrize("sizes, field", [
+    ({"n_nodes": 100.0}, "n_nodes"),
+    ({"n_communities": 2, "n_features": 10.0, "features_per_community": 5.0}, "n_features"),
+    ({"n_communities": 10.0}, "n_communities"),
+    ({"seed": 0.5}, "seed"),
+])
+def test_spec_rejects_non_integer_counts(sizes, field):
+    """Float sizes pass the divisibility checks, then fail in the generator."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ConstructiveSpec(**sizes)
+
+
 def test_row_normalize():
     x = np.array([[2.0, 2.0], [0.0, 0.0], [1.0, 3.0]])
     out = row_normalize_features(x)

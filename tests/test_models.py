@@ -570,6 +570,17 @@ def test_config_rejects_nonfinite(field, value):
         GcnConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hidden_units", 4.0), ("max_epochs", 10.0), ("patience", 2.5), ("seed", 1.0),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    """A float hidden size fails inside training and a float patience
+    rounds silently, so both are refused up front; numpy integers pass."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GcnConfig(**{field: value})
+    GcnConfig(**{field: np.int64(value)})
+
+
 def test_split_spec_validation():
     with pytest.raises(ValueError, match="cover"):
         SplitSpec(np.ones(4, bool), np.ones(4, bool), np.zeros(4, bool)).validate()

@@ -1,6 +1,5 @@
 import dataclasses
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -35,11 +34,10 @@ from graphalign import subspaces
 from graphalign.subspaces import (
     DistanceMatrix3,
     _alignment,
-    _chordal_sam_table,
     _chordal_tables,
     _null_ensemble,
     _objective,
-    _sam_grid,
+    _sam_table,
     _sq_distance_grids,
     _sq_distances_from_grams,
     graph_spectrum,
@@ -744,10 +742,15 @@ def test_optimize_dimensions_matches_per_round_null_search(small_constructive, m
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def _sam_from_sq_distances(d2_xa, d2_xy, d2_ay):
+    """SAM assembled with temporaries, apart from the in-place assembler under test."""
+    return np.sqrt(2.0 * (d2_xa + d2_xy[:, None] + d2_ay[None, :]))
+
+
 def _per_round_sam_grid_search(dataset, metric, n_null, rounds, seed, grid_points=10):
     """The projection and grassmann search before nulls were scored ahead:
     every round solves every null's full spectrum again and evaluates its
-    grid with :func:`_sam_grid`."""
+    grid from :func:`_sq_distance_grids` with :func:`_sam_from_sq_distances`."""
     n, f = dataset.n_nodes, dataset.num_classes
     y_basis = groundtruth_basis(one_hot(dataset.labels, f))
     y = y_basis.matrix
@@ -757,10 +760,12 @@ def _per_round_sam_grid_search(dataset, metric, n_null, rounds, seed, grid_point
     kx_grid = dimension_grid(f, min(u.shape[1], n - 1), grid_points)
     ka_grid = dimension_grid(f, n - 1, grid_points)
     for _ in range(rounds):
-        objective = -_sam_grid(u, v, y, kx_grid, ka_grid, metric)
+        objective = -_sam_from_sq_distances(*_sq_distance_grids(u, v, y, kx_grid, ka_grid,
+                                                                 metric))
         for perm, a_hat_null in nulls:
             v_null = graph_spectrum(a_hat_null)[1]
-            objective += _sam_grid(u[perm], v_null, y, kx_grid, ka_grid, metric) / n_null
+            d2 = _sq_distance_grids(u[perm], v_null, y, kx_grid, ka_grid, metric)
+            objective += _sam_from_sq_distances(*d2) / n_null
         ix, ia = np.unravel_index(int(np.argmax(objective)), objective.shape)
         kx_best, ka_best = int(kx_grid[ix]), int(ka_grid[ia])
         kx_grid = dimension_grid(int(kx_grid[max(ix - 1, 0)]),
@@ -847,8 +852,17 @@ def test_null_spectra_are_dropped_before_the_next_solve(small_constructive, metr
 def test_optimize_dimensions_refuses_a_factor_narrower_than_the_labels(small_constructive,
                                                                        features, columns):
     narrow = dataclasses.replace(small_constructive, features=features)
-    message = f"has {columns} columns .* label dimension: .* class count, 4$"
+    message = f"has {columns} columns .* label dimension 4, where the k_x grid starts$"
     with pytest.raises(ValueError, match=message):
+        optimize_dimensions(narrow, n_null=1)
+
+
+def test_narrow_factor_error_names_the_label_dimension_not_the_class_count(small_constructive):
+    """Class 1 relabelled 0: four classes, a label dimension of three."""
+    labels = small_constructive.labels
+    narrow = dataclasses.replace(small_constructive, features=np.eye(2)[np.arange(200) % 2],
+                                 labels=np.where(labels == 1, 0, labels))
+    with pytest.raises(ValueError, match="has 2 columns .* label dimension 3, where the k_x grid"):
         optimize_dimensions(narrow, n_null=1)
 
 
@@ -881,7 +895,8 @@ def test_chordal_table_first_round_is_bitwise_the_grid_evaluation(small_construc
     for perm, a_hat_null in nulls:
         _, v_null = graph_spectrum(a_hat_null)
         want += _per_grid_chordal_sam(u[perm], v_null, y, kx_grid, ka_grid) / n_null
-    table = _objective(partial(_chordal_sam_table, y=y, kx_max=kx_hi, ka_max=ka_hi), u, v, nulls)
+    table = _objective(lambda u, v: _sam_table(*_chordal_tables(u, v, y, kx_hi, ka_hi)), u, v,
+                       nulls)
     assert table.shape == (kx_hi, ka_hi)
     assert np.array_equal(table[kx_grid - 1][:, ka_grid - 1], want)
 
