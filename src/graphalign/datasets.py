@@ -10,8 +10,8 @@ model training) consumes it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
@@ -33,6 +33,23 @@ __all__ = [
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset files (ragged rows, unknown ids, ...)."""
+
+
+def _integer(name: str, value, low: int | None = None, high: int | None = None):
+    """`value` if an integer in [low, high] (numpy's too, a bool not), else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value!r}")
+    return value
+
+
+def _choice(name: str, value, options: tuple):
+    """A ValueError unless `value` is one of `options`."""
+    if value not in options:
+        raise ValueError(f"unknown {name}: {value!r} (expected one of {options})")
 
 
 @dataclass(eq=False)
@@ -82,8 +99,7 @@ class Dataset:
             raise ValueError("adjacency is not symmetric")
         if a.nnz and not np.all(a.data == 1):
             raise ValueError("adjacency entries must be 0/1")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
+        _integer("num_classes", self.num_classes, low=2)
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.num_classes:
             raise ValueError("labels out of range")
 
@@ -106,14 +122,10 @@ class ConstructiveSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_nodes", "n_communities", "n_features", "features_per_community", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_communities < 2 or self.features_per_community < 1:
-            raise ValueError("need at least 2 communities and 1 feature per community")
-        if self.n_nodes < self.n_communities:
-            raise ValueError("need at least one node per community")
-        if self.n_nodes % self.n_communities:
+        for name, low in (("n_nodes", 1), ("n_communities", 2), ("n_features", 1),
+                          ("features_per_community", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), low=low)
+        if self.n_nodes % self.n_communities:  # also refuses fewer nodes than communities
             raise ValueError("n_nodes must be divisible by n_communities")
         if self.features_per_community * self.n_communities != self.n_features:
             raise ValueError("features_per_community * n_communities must equal n_features")
@@ -217,6 +229,7 @@ def load_dataset(edges_path: str | Path, features_path: str | Path,
     Duplicate edges collapse, self-loops drop, and edges are undirected.
     Every edge endpoint must appear in the features file.
     """
+    _choice("dataset format", format, ("generic", "cora"))
     edges_path, features_path = Path(edges_path), Path(features_path)
     if format == "cora":
         ids, features, class_names = _read_feature_rows(features_path, str, "content")
@@ -225,14 +238,12 @@ def load_dataset(edges_path: str | Path, features_path: str | Path,
         class_index = {c: i for i, c in enumerate(sorted(set(class_names)))}
         labels = np.array([class_index[c] for c in class_names], dtype=np.int64)
         num_classes = len(class_index)
-    elif format == "generic":
+    else:
         ids, features, int_labels = _read_feature_rows(features_path, int, "features")
         labels = np.array(int_labels, dtype=np.int64)
         if labels.min() < 0:
             raise DatasetFormatError(f"{features_path}: negative label")
         num_classes = int(labels.max()) + 1
-    else:
-        raise ValueError(f"unknown dataset format: {format!r}")
     if len(set(ids)) != len(ids):
         raise DatasetFormatError(f"{features_path}: duplicate node ids")
     index = {node: i for i, node in enumerate(ids)}
@@ -328,9 +339,8 @@ def row_normalize_features(features: np.ndarray) -> np.ndarray:
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """0-1 membership matrix, one row per node with a single 1."""
+    _integer("num_classes", num_classes, low=1)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"label out of range [0, {num_classes})")
-    y = np.zeros((labels.shape[0], num_classes))
-    y[np.arange(labels.shape[0]), labels] = 1.0
-    return y
+    return np.eye(num_classes)[labels]

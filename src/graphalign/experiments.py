@@ -14,11 +14,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
-from numbers import Integral
 
 import numpy as np
 
-from .datasets import Dataset, one_hot, row_normalize_features
+from .datasets import Dataset, _choice, _integer, one_hot, row_normalize_features
 from .models import VARIANTS, GcnConfig, TrainingDiverged, build_split, train
 from .randomize import derive_seed, feature_permutation, randomize_graph
 from .subspaces import (
@@ -63,20 +62,15 @@ class SweepSpec:
     config: GcnConfig = field(default_factory=GcnConfig)
 
     def __post_init__(self) -> None:
-        if self.axis not in AXES:
-            raise ValueError(f"unknown axis: {self.axis!r} (expected one of {AXES})")
-        if not all(isinstance(p, Integral) for p in self.percents):
-            raise ValueError(f"percents must be integers, got {self.percents!r}")
-        if not isinstance(self.realizations, Integral):
-            raise ValueError(f"realizations must be an integer, got {self.realizations!r}")
-        if not self.percents or any(not 0 <= p <= 100 for p in self.percents):
-            raise ValueError("percent grid must be nonempty and lie within [0, 100]")
-        if self.realizations < 1:
-            raise ValueError("need at least one realization per grid point")
-        unknown = set(self.variants) - set(VARIANTS)
-        if not self.variants or unknown:
-            raise ValueError(f"unknown variants: {sorted(unknown)}")
+        _choice("axis", self.axis, AXES)
+        for percent in self.percents:
+            _integer("percents", percent, low=0, high=100)
+        _integer("realizations", self.realizations, low=1)
+        for variant in self.variants:
+            _choice("variants", variant, VARIANTS)
+        _integer("base_seed", self.base_seed, low=0)
         for name in ("percents", "variants"):
+            _integer(f"the number of {name}", len(getattr(self, name)), low=1)
             if (repeated := _first_repeat(getattr(self, name))) is not None:
                 raise ValueError(f"{name} lists {repeated!r} twice")
         if self.config.seed != GcnConfig.seed:
@@ -202,10 +196,9 @@ def run_sweep_multi(
     pool; rows are merged in (percent, realization, variant) order either
     way. A training that diverges is recorded with NaN accuracy.
     """
-    if unknown := set(metrics) - set(METRICS):
-        raise ValueError(f"unknown metrics: {sorted(unknown)}")
-    if workers < 1:
-        raise ValueError("need at least one worker")
+    for metric in metrics:
+        _choice("metrics", metric, METRICS)
+    _integer("workers", workers, low=1)
     split = build_split(spec.dataset.labels, seed=spec.base_seed)
     basis_x = feature_basis(row_normalize_features(spec.dataset.features), dims.k_star_x)
     basis_y = groundtruth_basis(one_hot(spec.dataset.labels, spec.dataset.num_classes))
@@ -258,8 +251,7 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
     variance), or that pools experiments (rows that differ in axis or
     dimensions), gets r = NaN and the reason, so the other groups keep theirs.
     """
-    if aggregation not in ("percent_mean", "point"):
-        raise ValueError(f"unknown aggregation: {aggregation!r}")
+    _choice("aggregation", aggregation, ("percent_mean", "point"))
     groups: dict[tuple[str, str], list[SweepRow]] = {}
     for row in rows:
         groups.setdefault((row.dataset, row.variant), []).append(row)

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import Dataset, one_hot, row_normalize_features
+from .datasets import Dataset, _choice, _integer, one_hot, row_normalize_features
 from .subspaces import normalized_adjacency
 
 __all__ = [
@@ -78,13 +77,12 @@ class GcnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("hidden_units", "max_epochs", "patience", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, low in (("hidden_units", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), low=low)
         if not all(map(math.isfinite, (self.learning_rate, self.dropout, self.l2_weight))):
             raise ValueError("learning_rate, dropout and l2_weight must be finite")
-        if min(self.hidden_units, self.learning_rate, self.max_epochs, self.patience) <= 0:
-            raise ValueError("hidden_units, learning_rate, max_epochs, patience must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.l2_weight < 0:
@@ -141,7 +139,7 @@ class MeanFieldPropagation:
     """
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = _integer("n", n, low=1)
         self.shape = (n, n)
 
     def _reshaped(self, shape: tuple[int, int]) -> MeanFieldPropagation:
@@ -168,14 +166,12 @@ class MeanFieldPropagation:
 
 def propagation_operator(dataset: Dataset, variant: str):
     """Graph operator used by a model variant (sparse, identity or implicit)."""
-    n = dataset.n_nodes
-    if variant in ("gcn", "no_features", "sgc"):
-        return normalized_adjacency(dataset.adjacency)
+    _choice("variant", variant, VARIANTS)
     if variant == "no_graph":
-        return sp.identity(n, format="csr")
+        return sp.identity(dataset.n_nodes, format="csr")
     if variant == "complete_graph":
-        return MeanFieldPropagation(n)
-    raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
+        return MeanFieldPropagation(dataset.n_nodes)
+    return normalized_adjacency(dataset.adjacency)
 
 
 def _model_features(dataset: Dataset, variant: str) -> sp.csr_matrix:
@@ -401,6 +397,7 @@ def build_split(labels: np.ndarray, seed: int = 0) -> SplitSpec:
     uniformly from the remainder. Deterministic per seed. Other splits
     are built as a :class:`SplitSpec` of masks.
     """
+    _integer("seed", seed, low=0)
     labels = np.asarray(labels)
     n = labels.shape[0]
     counts = np.bincount(labels)
@@ -581,8 +578,7 @@ def train(
     non-finite loss, and ValueError for a `split` whose masks overlap,
     leave a node out, train on no node or are not one entry per node.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {variant!r} (expected one of {VARIANTS})")
+    _choice("variant", variant, VARIANTS)
     if split is None:
         split = build_split(dataset.labels)
     split.validate()

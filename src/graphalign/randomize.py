@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .datasets import _edge_array, _edges_to_adjacency
+from .datasets import _edge_array, _edges_to_adjacency, _integer
 
 __all__ = [
     "randomize_graph",
@@ -28,6 +28,8 @@ def derive_seed(base_seed: int, *parts: int) -> int:
     This is the documented splitting rule for parallel sweeps: every
     (realization, stage) pair hashes to an independent stream.
     """
+    for name, value in (("base_seed", base_seed), *(("parts", part) for part in parts)):
+        _integer(name, value, low=0)
     ss = np.random.SeedSequence((base_seed, *parts))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -53,6 +55,7 @@ def randomize_graph(adjacency: sp.spmatrix, p_graph: float, seed: int) -> sp.csr
     edges. The output is symmetric and simple; its edge count never
     exceeds the input's. p=0 returns the graph unchanged.
     """
+    _integer("seed", seed, low=0)
     if not (0 <= p_graph <= 100):
         raise ValueError("p_graph must lie in [0, 100]")
     adjacency = adjacency.tocsr()
@@ -79,6 +82,8 @@ def feature_permutation(n_rows: int, p_features: float, seed: int) -> np.ndarray
     input, so ``randomize_features(x, p, seed)`` equals
     ``x[feature_permutation(len(x), p, seed)]``. p=0 is the identity.
     """
+    _integer("n_rows", n_rows, low=0)
+    _integer("seed", seed, low=0)
     if not (0 <= p_features <= 100):
         raise ValueError("p_features must lie in [0, 100]")
     perm = np.arange(n_rows)

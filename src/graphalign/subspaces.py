@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .datasets import Dataset, one_hot, row_normalize_features
+from .datasets import Dataset, _choice, _integer, one_hot, row_normalize_features
 from .randomize import derive_seed, feature_permutation, randomize_graph
 
 __all__ = [
@@ -189,8 +189,7 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
     cell. :func:`optimize_dimensions` does not call it.
     """
     n = a_hat.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < {n}, got k={k}")
+    _integer("k", k, low=1, high=n - 1)
     if k + 1 < n:
         # An owned Fortran-order copy, which LAPACK overwrites in place.
         dense = (a_hat.toarray(order="F") if sp.issparse(a_hat)
@@ -226,11 +225,9 @@ def left_singular_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def feature_basis(x: np.ndarray, k: int) -> OrthonormalBasis:
     """Left singular vectors of the uncentered matrix for the k largest
     singular values (principal directions without mean removal)."""
-    if not 1 <= k < x.shape[0]:
-        raise ValueError(f"need 1 <= k < {x.shape[0]}, got k={k}")
+    _integer("k", k, low=1, high=x.shape[0] - 1)
     u, _ = left_singular_factor(x)
-    if k > u.shape[1]:
-        raise ValueError(f"k={k} exceeds the factor's {u.shape[1]} columns")
+    _integer("k", k, high=u.shape[1])  # the factor's column count
     return OrthonormalBasis(u[:, :k])
 
 
@@ -272,14 +269,13 @@ def subspace_distance(angles: PrincipalAngles | np.ndarray, metric: str = "chord
     grassmann:  sqrt(sum theta^2) -- uses all angles
     projection: sin(max theta)    -- extremal, largest angle only
     """
+    _choice("metric", metric, METRICS)
     theta = angles.angles if isinstance(angles, PrincipalAngles) else np.asarray(angles)
     if metric == "chordal":
         return float(np.sqrt(np.sum(np.sin(theta) ** 2)))
     if metric == "grassmann":
         return float(np.sqrt(np.sum(theta ** 2)))
-    if metric == "projection":
-        return float(np.sin(theta.max()))
-    raise ValueError(f"unknown metric: {metric!r} (expected one of {METRICS})")
+    return float(np.sin(theta.max()))
 
 
 def distance_matrix(
@@ -289,6 +285,7 @@ def distance_matrix(
     metric: str = "chordal",
 ) -> DistanceMatrix3:
     """All pairwise subspace distances, arranged symmetrically."""
+    _choice("metric", metric, METRICS)
     d_xa, d_xy, d_ay = (subspace_distance(principal_angles(b1, b2), metric)
                         for b1, b2 in ((basis_x, basis_a), (basis_x, basis_y), (basis_a, basis_y)))
     return DistanceMatrix3(np.array([[0.0, d_xa, d_xy], [d_xa, 0.0, d_ay], [d_xy, d_ay, 0.0]]))
@@ -314,6 +311,9 @@ def alignment_at(dataset: Dataset, kx: int, ka: int, metric: str = "chordal") ->
     The label dimension is :func:`groundtruth_basis`'s. Features enter the
     subspace analysis row-normalized, the preprocessing the classifier sees.
     """
+    _integer("kx", kx, low=1, high=dataset.n_nodes - 1)
+    _integer("ka", ka, low=1, high=dataset.n_nodes - 1)
+    _choice("metric", metric, METRICS)
     return _alignment(
         feature_basis(row_normalize_features(dataset.features), kx),
         graph_basis(normalized_adjacency(dataset.adjacency), ka),
@@ -328,10 +328,8 @@ def dimension_grid(lo: int, hi: int, points: int) -> np.ndarray:
     Real-valued spacing is floored to integers and duplicates are removed,
     so short intervals can yield fewer than `points` values.
     """
-    if points < 1:
-        raise ValueError("need at least one grid point")
-    if hi < lo:
-        raise ValueError(f"empty grid interval [{lo}, {hi}]")
+    _integer("points", points, low=1)
+    _integer("hi", hi, low=_integer("lo", lo))
     values = np.floor(np.linspace(lo, hi, points)).astype(int)
     return np.unique(values)
 
@@ -570,12 +568,10 @@ def optimize_dimensions(
     evaluation as without the prediction. The distances and SAM at k* come
     from :func:`_alignment`.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric: {metric!r}")
-    if n_null < 1:
-        raise ValueError("need at least one null realization")
-    if rounds < 1:
-        raise ValueError("need at least one round")
+    _choice("metric", metric, METRICS)
+    for name, value, low in (("n_null", n_null, 1), ("grid_points", grid_points, 1),
+                             ("rounds", rounds, 1), ("seed", seed, 0)):
+        _integer(name, value, low=low)
     n = dataset.n_nodes
     y_basis = groundtruth_basis(one_hot(dataset.labels, dataset.num_classes))
     y, f = y_basis.matrix, y_basis.dim

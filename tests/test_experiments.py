@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,15 +14,23 @@ from graphalign import (
     SweepRow,
     SweepSpec,
     alignment_at,
+    build_split,
     correlate,
     derive_seed,
+    feature_basis,
+    feature_permutation,
     generate_constructive,
+    graph_basis,
+    normalized_adjacency,
+    optimize_dimensions,
     pearson,
+    randomize_features,
+    randomize_graph,
     read_rows,
     run_sweep_multi,
     write_rows,
 )
-from graphalign import subspaces
+from graphalign import experiments, models, subspaces
 from graphalign.experiments import CSV_HEADER, _randomized_dataset
 
 
@@ -210,6 +219,73 @@ def test_sweep_spec_refuses_non_integer_counts(sweep_dataset):
         quick_spec(sweep_dataset, realizations=2.0)
     spec = quick_spec(sweep_dataset, percents=tuple(np.array([0, 50])), realizations=np.int64(2))
     assert spec.percents == (0, 50) and spec.realizations == 2
+
+
+# Every binding of the factorizations and the training, counted below.
+_WORK = [(subspaces, "left_singular_factor"), (subspaces, "graph_spectrum"),
+         (subspaces, "graph_basis"), (experiments, "graph_basis"), (models, "train"),
+         (experiments, "train")]
+
+
+def _bad(name, identifier, call):
+    return pytest.param(call, name, id=identifier)
+
+
+@pytest.mark.parametrize("call, name", [
+    _bad("n_null", "optimize_dimensions(n_null=2.0)",
+         lambda ds, dims: optimize_dimensions(ds, n_null=2.0)),
+    _bad("n_null", "optimize_dimensions(n_null=True)",
+         lambda ds, dims: optimize_dimensions(ds, n_null=True)),
+    _bad("grid_points", "optimize_dimensions(grid_points=4.0)",
+         lambda ds, dims: optimize_dimensions(ds, grid_points=4.0)),
+    _bad("rounds", "optimize_dimensions(rounds=1.0)",
+         lambda ds, dims: optimize_dimensions(ds, rounds=1.0)),
+    _bad("seed", "optimize_dimensions(seed=0.5)",
+         lambda ds, dims: optimize_dimensions(ds, seed=0.5)),
+    _bad("seed", "optimize_dimensions(seed=-1)",
+         lambda ds, dims: optimize_dimensions(ds, seed=-1)),
+    _bad("metric", "alignment_at(metric='bogus')",
+         lambda ds, dims: alignment_at(ds, 5, 4, metric="bogus")),
+    _bad("kx", "alignment_at(kx=5.0)", lambda ds, dims: alignment_at(ds, 5.0, 4)),
+    _bad("kx", "alignment_at(kx=True)", lambda ds, dims: alignment_at(ds, True, 4)),
+    _bad("ka", "alignment_at(ka=4.0)", lambda ds, dims: alignment_at(ds, 5, 4.0)),
+    _bad("ka", "alignment_at(ka=n)", lambda ds, dims: alignment_at(ds, 5, ds.n_nodes)),
+    _bad("k", "feature_basis(k=2.5)", lambda ds, dims: feature_basis(ds.features, 2.5)),
+    _bad("k", "graph_basis(k=2.5)",
+         lambda ds, dims: graph_basis(normalized_adjacency(ds.adjacency), 2.5)),
+    _bad("workers", "run_sweep_multi(workers=1.5)",
+         lambda ds, dims: run_sweep_multi(quick_spec(ds), dims, workers=1.5)),
+    _bad("workers", "run_sweep_multi(workers=True)",
+         lambda ds, dims: run_sweep_multi(quick_spec(ds), dims, workers=True)),
+    _bad("base_seed", "SweepSpec(base_seed=0.5)",
+         lambda ds, dims: run_sweep_multi(quick_spec(ds, base_seed=0.5), dims)),
+    _bad("hidden_units", "GcnConfig(hidden_units=True)",
+         lambda ds, dims: run_sweep_multi(
+             quick_spec(ds, config=GcnConfig(max_epochs=15, hidden_units=True)), dims)),
+    _bad("seed", "build_split(seed=0.5)", lambda ds, dims: build_split(ds.labels, seed=0.5)),
+    _bad("seed", "randomize_graph(seed=0.5)",
+         lambda ds, dims: randomize_graph(ds.adjacency, 50, 0.5)),
+    _bad("seed", "feature_permutation(seed=0.5)",
+         lambda ds, dims: feature_permutation(ds.n_nodes, 50, 0.5)),
+    _bad("seed", "randomize_features(seed=0.5)",
+         lambda ds, dims: randomize_features(ds.features, 50, 0.5)),
+    _bad("base_seed", "derive_seed(base_seed=0.5)", lambda ds, dims: derive_seed(0.5, 1)),
+    _bad("parts", "derive_seed(parts=1.5)", lambda ds, dims: derive_seed(0, 1.5)),
+])
+def test_bad_arguments_are_refused_before_any_work(sweep_dataset, monkeypatch, call, name):
+    """A non-integer, bool or out-of-range count or seed, or an unknown
+    name, is refused with a ValueError naming its parameter before any
+    factorization or training runs. Unchecked, each one raises a TypeError
+    from inside the computation, fails only after that work, or is accepted."""
+    dims = alignment_at(sweep_dataset, 5, 4)
+    calls = []
+    for module, attr in _WORK:
+        work = getattr(module, attr)
+        monkeypatch.setattr(module, attr,
+                            lambda *a, _work=work, **k: calls.append(_work) or _work(*a, **k))
+    with pytest.raises(ValueError, match=rf"^(unknown )?{re.escape(name)}\b"):
+        call(sweep_dataset, dims)
+    assert calls == []
 
 
 def test_pearson_exact_lines():

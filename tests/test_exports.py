@@ -1,11 +1,16 @@
-"""Every exported name resolves, so a stale export of deleted code fails."""
+"""Every exported name resolves, so a stale export of deleted code fails, and
+one pair of helpers owns the library's argument refusals."""
 
 import importlib
+import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import graphalign
+from graphalign import datasets
 
 MODULES = ["graphalign"] + [
     f"graphalign.{info.name}" for info in pkgutil.iter_modules(graphalign.__path__)
@@ -17,3 +22,21 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names undefined attributes: {missing}"
+
+
+def test_one_owner_of_argument_refusals():
+    """Outside `_integer` and `_choice`, no module but the CLI (whose
+    argparse types turn text into usage errors) names `Integral` or builds
+    an "unknown ..." message, so one rule decides what a count, seed or
+    name is."""
+    helpers = [inspect.getsource(f) for f in (datasets._integer, datasets._choice)]
+    offenders = []
+    for path in sorted(Path(graphalign.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for source in helpers:
+            text = text.replace(source, "")
+        if "Integral" in text or re.search(r"""["']unknown """, text):
+            offenders.append(path.name)
+    assert not offenders, f"argument checks outside the two helpers in {offenders}"
