@@ -198,6 +198,7 @@ def run_sweep_multi(
     """
     for metric in metrics:
         _choice("metrics", metric, METRICS)
+    _integer("the number of metrics", len(metrics), low=1)
     _integer("workers", workers, low=1)
     split = build_split(spec.dataset.labels, seed=spec.base_seed)
     basis_x = feature_basis(row_normalize_features(spec.dataset.features), dims.k_star_x)

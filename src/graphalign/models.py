@@ -13,17 +13,19 @@ adaptive-moment gradient descent, L2 on the first-layer weights, and
 early stopping on the validation loss; the two-layer model also applies
 dropout to both layer inputs.
 
-Each pass computes only the output rows S it reads (the training,
-validation or test nodes), and the first layer only on their 1-hop rows,
-bit for bit as on every row (:class:`_Engine`). The simplified variant
-slices its propagated features P^K X once per split part.
+Every variant runs on one engine protocol (:func:`_engine`), which
+:func:`train`, :func:`forward` and :func:`gradients` all build, so the
+latter two evaluate every model :func:`train` returns. Each pass computes
+only the output rows S it reads (the training, validation or test
+nodes), and the first layer only on their 1-hop rows, bit for bit as on
+every row (:class:`_Engine`). The simplified variant slices its
+propagated features P^K X once per split part (:class:`_SgcEngine`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -221,9 +223,9 @@ class _Pass:
 
 
 class _Engine:
-    """Forward and backward pass of the two-layer model, every operator
-    built once: one :class:`_Pass` per output row set in `rows`, and for
-    the CSR features `x` a held CSR that dropout writes into. Every
+    """The two-layer model in the protocol of :func:`_engine`, every
+    operator built once: one :class:`_Pass` per output row set in `rows`,
+    and for the CSR features `x` a held CSR that dropout writes into. Every
     transpose is a view, and scipy sums each row of a CSC view's product
     in the same order as a transposed copy's, so with the same bits.
 
@@ -239,11 +241,12 @@ class _Engine:
     """
 
     def __init__(self, a_hat, x: sp.csr_matrix, rows: dict[str, np.ndarray], hidden: int,
-                 dropout: float):
+                 dropout: float, l2_weight: float, n_mean: int):
         if sp.issparse(a_hat):
             a_hat = a_hat.tocsr()
         self.passes = {part: _Pass(a_hat, idx, hidden) for part, idx in rows.items()}
-        self.dropout = dropout
+        self.widths = (x.shape[1], hidden)
+        self.dropout, self.l2_weight, self.ce_scale = dropout, l2_weight, 1.0 / n_mean
         self.x, self.x_t = x, x.T
         if dropout > 0:
             self.x_drop = x.copy()
@@ -257,11 +260,9 @@ class _Engine:
         self.x_drop.data[:] = _dropout(self.x.data, self.dropout, rng)
         return self.x_drop, self.x_drop_t
 
-    def forward(self, w0: np.ndarray, w1: np.ndarray, part: str,
-                rng: np.random.Generator | None):
-        """Class probabilities of the rows of `part`, and the cache that
-        :meth:`backward` takes. Inverted dropout on both layer inputs
-        applies when an `rng` is given and the rate is positive."""
+    def forward(self, weights: list[np.ndarray], part: str, rng: np.random.Generator | None):
+        """Inverted dropout on both layer inputs when an `rng` is given."""
+        w0, w1 = weights
         p = self.passes[part]
         x_in, x_in_t = self._inputs(rng)
         s1 = p.a_hop @ (x_in @ w0)
@@ -275,37 +276,80 @@ class _Engine:
         z = _softmax_rows(p.a_rows @ (p.h @ w1))
         return z, (p, x_in_t, s1, scale)
 
-    def backward(self, w0: np.ndarray, w1: np.ndarray, cache: tuple, z: np.ndarray,
-                 y: np.ndarray, l2_weight: float, ce_scale: float) -> list[np.ndarray]:
-        """Gradients of (ce_scale * cross-entropy summed over the output
-        rows + L2) w.r.t. (W0, W1).
-
-        `z` and `y` hold the output rows of the pass that returned `cache`,
-        and no other pass may run in between: they share the engine's
-        buffers. The output gradient lives on the rows S alone and the
-        first-layer gradient on their 1-hop rows H, so the backward needs
-        only P_Sᵀ and P_Hᵀ: the terms it skips are exact zeros.
+    def backward(self, weights: list[np.ndarray], cache: tuple, z: np.ndarray,
+                 y: np.ndarray) -> list[np.ndarray]:
+        """No other pass may run between the forward that returned `cache`
+        and this: they share the engine's buffers. The output gradient
+        lives on the rows S alone and the first-layer gradient on their
+        1-hop rows H, so the backward needs only P_Sᵀ and P_Hᵀ: the terms
+        it skips are exact zeros.
         """
+        w0, w1 = weights
         p, x_in_t, s1, scale = cache
-        g2 = (z - y) * ce_scale
+        g2 = (z - y) * self.ce_scale
         gw1 = (p.a_rows @ p.h).T @ g2
         gs1 = ((p.a_rows_t @ g2) @ w1.T)[p.hop]
         if scale is not None:
             gs1 *= scale
         gs1 *= s1 > 0
-        gw0 = x_in_t @ (p.a_hop_t @ gs1) + l2_weight * w0
+        gw0 = x_in_t @ (p.a_hop_t @ gs1) + self.l2_weight * w0
         return [np.asarray(gw0), gw1]
+
+
+class _SgcEngine:
+    """The single-layer simplified model softmax(P^K X W0) in the protocol
+    of :func:`_engine`: P^K X is computed once, densely, and sliced once
+    per output row set in `rows`. With no hidden layer there is no dropout."""
+
+    def __init__(self, a_hat, x, rows: dict[str, np.ndarray], l2_weight: float, n_mean: int):
+        s = x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
+        for _ in range(_SGC_DEGREE):
+            s = a_hat @ s
+        self.s_rows = {part: s[idx] for part, idx in rows.items()}
+        self.widths = (s.shape[1],)
+        self.l2_weight, self.n_mean = l2_weight, n_mean
+
+    def forward(self, weights: list[np.ndarray], part: str, rng: np.random.Generator | None):
+        s = self.s_rows[part]
+        return _softmax_rows(s @ weights[0]), s
+
+    def backward(self, weights: list[np.ndarray], cache: np.ndarray, z: np.ndarray,
+                 y: np.ndarray) -> list[np.ndarray]:
+        return [cache.T @ ((z - y) / self.n_mean) + self.l2_weight * weights[0]]
+
+
+def _engine(a_hat, x, rows: dict[str, np.ndarray], hidden: int | None, dropout: float,
+            l2_weight: float, n_mean: int):
+    """The passes of a model over the output row sets `rows` (node indexes
+    by part name): the two-layer :class:`_Engine` with `hidden` units, or
+    the simplified :class:`_SgcEngine` when `hidden` is None. Every engine
+    has one protocol: ``forward(weights, part, rng)`` returns the class
+    probabilities of the rows of `part` and a cache (dropout on when an
+    `rng` is given), and ``backward(weights, cache, z, y)`` the gradients,
+    one per weight matrix, of the cross-entropy of those rows divided by
+    `n_mean`, plus l2_weight/2 ‖W0‖². `widths` holds each layer's input width.
+    """
+    if hidden is None:
+        return _SgcEngine(a_hat, x, rows, l2_weight, n_mean)
+    return _Engine(a_hat, sp.csr_matrix(x), rows, hidden, dropout, l2_weight, n_mean)
+
+
+def _evaluation_pass(model: GcnModel, a_hat, x, rows: np.ndarray, l2_weight: float = 0.0):
+    """One pass of `model`, dropout off and the cross-entropy summed, on
+    the node indexes `rows`: its engine, weights, probabilities and cache."""
+    weights = [model.w0] if model.w1 is None else [model.w0, model.w1]
+    hidden = None if model.w1 is None else model.w0.shape[1]
+    engine = _engine(a_hat, x, {"rows": rows}, hidden, 0.0, l2_weight, 1)
+    return (engine, weights, *engine.forward(weights, "rows", None))
 
 
 def forward(model: GcnModel, a_hat, x) -> np.ndarray:
     """Class probabilities in evaluation mode, one row per node, each
     summing to one, for any square operator `a_hat` (sparse, dense or
-    implicit, symmetric or not). `x` may be dense or sparse; it enters as
-    a CSR."""
-    n = a_hat.shape[0]
-    engine = _Engine(a_hat, sp.csr_matrix(x), {"all": np.arange(n)}, model.w0.shape[1], 0.0)
-    z, _ = engine.forward(model.w0, model.w1, "all", None)
-    return z
+    implicit, symmetric or not): of the two-layer model, on `x` as a CSR,
+    or, when W1 is None, of the simplified model softmax(P^K X W0), K = 2.
+    `x` may be dense or sparse."""
+    return _evaluation_pass(model, a_hat, x, np.arange(a_hat.shape[0]))[2]
 
 
 def loss(
@@ -340,19 +384,18 @@ def gradients(
     y: np.ndarray,
     train_mask: np.ndarray,
     l2_weight: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of :func:`loss` at the given weights, dropout off.
+) -> tuple[np.ndarray, ...]:
+    """Analytic gradients of :func:`loss` at the given weights, dropout
+    off: (dW0, dW1), or (dW0,) for the simplified model (W1 None).
 
     Runs the training engine's forward and backward pass, restricted to
-    the rows of `train_mask`, on `x` as a CSR. Exact for any square
-    operator `a_hat`: the backward reads P_Hᵀ off P's 1-hop rows, so
-    it needs no symmetry.
+    the rows `train_mask` selects as :func:`loss` reads it (a boolean
+    mask, or any numpy index). Exact for any square operator `a_hat`: the
+    backward reads P_Hᵀ off P's 1-hop rows, so it needs no symmetry.
     """
-    rows = np.flatnonzero(train_mask)
-    engine = _Engine(a_hat, sp.csr_matrix(x), {"train": rows}, model.w0.shape[1], 0.0)
-    z, cache = engine.forward(model.w0, model.w1, "train", None)
-    gw0, gw1 = engine.backward(model.w0, model.w1, cache, z, y[rows], l2_weight, ce_scale=1.0)
-    return gw0, gw1
+    rows = np.arange(len(y))[train_mask]
+    engine, weights, z, cache = _evaluation_pass(model, a_hat, x, rows, l2_weight)
+    return tuple(engine.backward(weights, cache, z, y[rows]))
 
 
 class _Adam:
@@ -448,38 +491,32 @@ def _split_rows(split: SplitSpec) -> dict[str, np.ndarray]:
     }
 
 
-def _fit(
-    variant: str,
-    widths: tuple[int, ...],
-    forward_fn: Callable,
-    backward_fn: Callable,
-    dataset: Dataset,
-    config: GcnConfig,
-    rows: dict[str, np.ndarray],
-) -> TrainReport:
+def _fit(variant: str, engine, dataset: Dataset, config: GcnConfig,
+         rows: dict[str, np.ndarray]) -> TrainReport:
     """The early-stopping training loop shared by every variant.
 
     `rows` holds the node indexes of each split part (``"train"``,
-    ``"val"``, ``"test"``), and ``forward_fn(weights, part, rng)`` returns
-    the class probabilities of that part's nodes only, plus a cache for
-    ``backward_fn(weights, cache, z, y)``, which takes the probabilities
-    and one-hot labels of the training nodes.
+    ``"val"``, ``"test"``), and `engine` the variant's passes over them in
+    the protocol of :func:`_engine`, its gradients those of the mean loss
+    over the training nodes.
 
-    Weights are drawn Glorot-uniform layer by layer for the given layer
-    `widths`. Each epoch then runs the forward pass on the training nodes
-    in training mode, checks the mean training loss is finite, takes one
-    Adam step along the gradient, and computes the validation loss on the
-    validation nodes in evaluation mode (`rng` None). The L2 penalty is
-    computed once per weight update: the validation loss after a step and
-    the next epoch's training loss read the same W0. Training stops once
-    the validation loss has not improved for `patience` consecutive
-    epochs; the final-epoch weights are evaluated on the test nodes.
+    Weights are drawn Glorot-uniform layer by layer, for the engine's
+    `widths` and one output per class. Each epoch then runs the forward
+    pass on the training nodes in training mode, checks the mean training
+    loss is finite, takes one Adam step along the gradient, and computes
+    the validation loss on the validation nodes in evaluation mode (`rng`
+    None). The L2 penalty is computed once per weight update: the
+    validation loss after a step and the next epoch's training loss read
+    the same W0. Training stops once the validation loss has not improved
+    for `patience` consecutive epochs; the final-epoch weights are
+    evaluated on the test nodes.
     """
     y = one_hot(dataset.labels, dataset.num_classes)
     y_train, y_val = y[rows["train"]], y[rows["val"]]
     n_val = len(y_val)
     every = slice(None)  # z and y hold only the rows a loss sums over
 
+    widths = engine.widths + (dataset.num_classes,)
     rng = np.random.default_rng(config.seed)
     weights = [_glorot(rng, fan_in, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
     optimizer = _Adam([w.shape for w in weights], lr=config.learning_rate)
@@ -495,14 +532,14 @@ def _fit(
     stale = 0
     penalty = _l2_penalty(weights[0], config.l2_weight)
     for epoch in range(1, config.max_epochs + 1):
-        z, cache = forward_fn(weights, "train", rng)
+        z, cache = engine.forward(weights, "train", rng)
         report.train_losses.append(_check_finite(mean_loss(z, y_train, penalty), epoch))
-        optimizer.step(weights, backward_fn(weights, cache, z, y_train))
+        optimizer.step(weights, engine.backward(weights, cache, z, y_train))
         penalty = _l2_penalty(weights[0], config.l2_weight)
         report.epochs_run = epoch
 
         if n_val:
-            z_val, _ = forward_fn(weights, "val", None)
+            z_val, _ = engine.forward(weights, "val", None)
             val_loss = mean_loss(z_val, y_val, penalty)
             report.val_losses.append(_check_finite(val_loss, epoch))
             if val_loss < best_val:
@@ -515,48 +552,10 @@ def _fit(
         else:
             report.val_losses.append(float("nan"))
 
-    z_test, _ = forward_fn(weights, "test", None)
+    z_test, _ = engine.forward(weights, "test", None)
     report.test_accuracy = _accuracy(z_test, dataset.labels[rows["test"]])
     report.model = GcnModel(*weights)
     return report
-
-
-def _gcn_model(dataset: Dataset, variant: str, config: GcnConfig,
-               rows: dict[str, np.ndarray]) -> tuple[tuple[int, ...], Callable, Callable]:
-    """Layer widths, forward and backward pass of a two-layer variant,
-    for :func:`_fit`: one :class:`_Engine` over the split parts, built
-    once per training."""
-    x = _model_features(dataset, variant)
-    engine = _Engine(propagation_operator(dataset, variant), x, rows,
-                     config.hidden_units, config.dropout)
-
-    def forward_fn(weights, part, rng):
-        return engine.forward(*weights, part, rng)
-
-    def backward_fn(weights, cache, z, y):
-        return engine.backward(*weights, cache, z, y, config.l2_weight, ce_scale=1.0 / len(y))
-
-    return (x.shape[1], config.hidden_units, dataset.num_classes), forward_fn, backward_fn
-
-
-def _sgc_model(dataset: Dataset, config: GcnConfig,
-               rows: dict[str, np.ndarray]) -> tuple[tuple[int, ...], Callable, Callable]:
-    """Layer widths, forward and backward pass of the simplified variant,
-    for :func:`_fit`. P^K X is computed once and sliced once per split
-    part."""
-    a_hat = propagation_operator(dataset, "sgc")
-    s = row_normalize_features(dataset.features)
-    for _ in range(_SGC_DEGREE):
-        s = a_hat @ s
-    s_rows = {part: s[idx] for part, idx in rows.items()}
-
-    def forward_fn(weights, part, rng):
-        return _softmax_rows(s_rows[part] @ weights[0]), None
-
-    def backward_fn(weights, cache, z, y):
-        return [s_rows["train"].T @ ((z - y) / len(y)) + config.l2_weight * weights[0]]
-
-    return (s.shape[1], dataset.num_classes), forward_fn, backward_fn
 
 
 def train(
@@ -585,8 +584,7 @@ def train(
     if len(split.train_mask) != dataset.n_nodes:
         raise ValueError("split masks must have one entry per node")
     rows = _split_rows(split)
-    if variant == "sgc":
-        model = _sgc_model(dataset, config, rows)
-    else:
-        model = _gcn_model(dataset, variant, config, rows)
-    return _fit(variant, *model, dataset, config, rows)
+    hidden = None if variant == "sgc" else config.hidden_units
+    engine = _engine(propagation_operator(dataset, variant), _model_features(dataset, variant),
+                     rows, hidden, config.dropout, config.l2_weight, len(rows["train"]))
+    return _fit(variant, engine, dataset, config, rows)

@@ -253,6 +253,8 @@ def _bad(name, identifier, call):
     _bad("k", "feature_basis(k=2.5)", lambda ds, dims: feature_basis(ds.features, 2.5)),
     _bad("k", "graph_basis(k=2.5)",
          lambda ds, dims: graph_basis(normalized_adjacency(ds.adjacency), 2.5)),
+    _bad("the number of metrics", "run_sweep_multi(metrics=())",
+         lambda ds, dims: run_sweep_multi(quick_spec(ds), dims, metrics=())),
     _bad("workers", "run_sweep_multi(workers=1.5)",
          lambda ds, dims: run_sweep_multi(quick_spec(ds), dims, workers=1.5)),
     _bad("workers", "run_sweep_multi(workers=True)",

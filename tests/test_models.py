@@ -27,10 +27,9 @@ from graphalign.models import (
     _Adam,
     _dropout,
     _Engine,
-    _gcn_model,
+    _engine,
     _glorot,
     _model_features,
-    _sgc_model,
     _softmax_rows,
     _split_rows,
 )
@@ -154,28 +153,50 @@ def _fd_operators(a_hat):
 
 
 def test_gradients_match_finite_differences():
+    """For the two-layer and the single-layer model (W1 None), and for a
+    boolean mask and an index array of rows, which `gradients` reads as
+    `loss` does: [0, 2] is rows 0 and 2, not a mask of row 1."""
     step, l2 = 1e-5, 0.3
     for seed in range(5):
         instance, x, w0, w1, y, mask = _fd_instance(seed)
         for name, a_hat in _fd_operators(instance).items():
-            gw0, gw1 = gradients(GcnModel(w0, w1), a_hat, x, y, mask, l2)
+            for rows, weights in ((mask, [w0, w1]), (np.array([0, 2]), [w0, w1]), (mask, [w0])):
+                grads = gradients(GcnModel(*weights), a_hat, x, y, rows, l2)
+                assert len(grads) == len(weights)
 
-            def objective(a0, a1):
-                z = forward(GcnModel(a0, a1), a_hat, x)
-                return loss(z, y, mask, a0, l2)
+                def objective(ws):
+                    z = forward(GcnModel(*ws), a_hat, x)
+                    return loss(z, y, rows, ws[0], l2)
 
-            for which, (w, g) in enumerate(((w0, gw0), (w1, gw1))):
-                fd = np.zeros_like(w)
-                for idx in np.ndindex(*w.shape):
-                    wp, wm = w.copy(), w.copy()
-                    wp[idx] += step
-                    wm[idx] -= step
-                    if which == 0:
-                        fd[idx] = (objective(wp, w1) - objective(wm, w1)) / (2 * step)
-                    else:
-                        fd[idx] = (objective(w0, wp) - objective(w0, wm)) / (2 * step)
-                rel = np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))
-                assert rel < 1e-4, f"seed {seed} {name} layer {which}: rel err {rel:.2e}"
+                for which, (w, g) in enumerate(zip(weights, grads)):
+                    fd = np.zeros_like(w)
+                    for idx in np.ndindex(*w.shape):
+                        wp, wm = list(weights), list(weights)
+                        wp[which], wm[which] = w.copy(), w.copy()
+                        wp[which][idx] += step
+                        wm[which][idx] -= step
+                        fd[idx] = (objective(wp) - objective(wm)) / (2 * step)
+                    rel = np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g))
+                    assert rel < 1e-4, (f"seed {seed} {name} rows {rows} {len(weights)} layers, "
+                                        f"layer {which}: rel err {rel:.2e}")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_evaluates_every_trained_model(small_constructive, variant):
+    """`forward` on a variant's operator and inputs reproduces the test
+    accuracy of the model `train` returns, the single-layer simplified
+    model (W1 None) too, whose probabilities are softmax(P^2 X W0)."""
+    ds = small_constructive
+    split = build_split(ds.labels, seed=0)
+    report = train(ds, variant, GcnConfig(max_epochs=30), split)
+    a_hat = propagation_operator(ds, variant)
+    x = _model_features(ds, variant)
+    z = forward(report.model, a_hat, x)
+    test = split.test_mask
+    assert np.mean(z[test].argmax(axis=1) == ds.labels[test]) == report.test_accuracy
+    if variant == "sgc":
+        expected = _softmax_rows(a_hat @ (a_hat @ x.toarray()) @ report.model.w0)
+        assert np.array_equal(z, expected)
 
 
 def test_build_split_balanced_quotas():
@@ -423,9 +444,11 @@ def _reference_fit(dataset, variant, config, split):
 
 
 def _engine_model(dataset, variant, config, rows):
-    if variant == "sgc":
-        return _sgc_model(dataset, config, rows)
-    return _gcn_model(dataset, variant, config, rows)
+    """Layer widths, forward and backward pass of the engine `train` builds."""
+    hidden = None if variant == "sgc" else config.hidden_units
+    engine = _engine(propagation_operator(dataset, variant), _model_features(dataset, variant),
+                     rows, hidden, config.dropout, config.l2_weight, len(rows["train"]))
+    return engine.widths + (dataset.num_classes,), engine.forward, engine.backward
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -783,7 +806,8 @@ def test_complete_graph_reads_every_row(constructive):
     each pass's 1-hop set is all of them."""
     rows = _split_rows(build_split(constructive.labels, seed=0))
     engine = _Engine(MeanFieldPropagation(constructive.n_nodes),
-                     _model_features(constructive, "complete_graph"), rows, 16, 0.5)
+                     _model_features(constructive, "complete_graph"), rows, 16, 0.5, 5e-4,
+                     len(rows["train"]))
     for part in rows:
         assert np.array_equal(engine.passes[part].hop, np.arange(constructive.n_nodes))
 
