@@ -75,11 +75,14 @@ def _read_config(path: str) -> list[tuple[str, str]]:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand `--config FILE` into flags inserted after the subcommand.
+    """Expand `--config FILE` (or `--config=FILE`) into flags inserted after
+    the subcommand.
 
     Insertion before the explicit flags means a flag given on the command
     line overrides the same key from the file.
     """
+    argv = [part for token in argv
+            for part in (token.split("=", 1) if token.startswith("--config=") else [token])]
     while "--config" in argv:
         i = argv.index("--config")
         if i == 0:
@@ -413,6 +416,8 @@ def cli(argv: list[str]) -> int:
     """Run one invocation; returns the process exit code."""
     try:
         args = build_parser().parse_args(_apply_config(list(argv)))
+        if args.config is not None:  # a spelling that _apply_config did not expand
+            raise CliUsageError("spell the config file flag --config FILE or --config=FILE")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

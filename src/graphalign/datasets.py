@@ -21,13 +21,10 @@ import scipy.sparse as sp
 __all__ = [
     "Dataset",
     "ConstructiveSpec",
-    "DatasetFormatError",
     "load_dataset",
     "save_dataset",
     "largest_connected_component",
     "generate_constructive",
-    "row_normalize_features",
-    "one_hot",
 ]
 
 

@@ -33,12 +33,9 @@ from .subspaces import (
 
 __all__ = [
     "AXES",
-    "CSV_HEADER",
     "SweepSpec",
     "SweepRow",
-    "CorrelationResult",
     "run_sweep_multi",
-    "pearson",
     "correlate",
     "write_rows",
     "read_rows",
@@ -227,8 +224,6 @@ def pearson(xs, ys) -> float:
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("inputs must be one-dimensional and of equal length")
     if x.size < 2:
         raise ValueError("need at least two points")
     xc = x - x.mean()
@@ -296,15 +291,24 @@ def write_rows(path_or_file, rows: list[SweepRow]) -> None:
 
 
 def read_rows(path) -> list[SweepRow]:
-    """Read sweep rows back; raises ValueError on a wrong header."""
+    """Read sweep rows back, skipping empty records. A wrong header, a
+    record of the wrong length or a value its column cannot parse raises
+    ValueError, prefixed `<path>:<line>:`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER.split(","):
-            raise ValueError(f"unexpected CSV header: {header}")
+            raise ValueError(f"{path}:1: unexpected CSV header: {header}")
         rows = []
-        for record in reader:
+        for record in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
             if len(record) != len(_COLUMNS):
-                raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(record)}: {record}")
-            rows.append(SweepRow(*(parse(value) for (_, parse), value in zip(_COLUMNS, record))))
+                raise ValueError(f"{where}: expected {len(_COLUMNS)} fields, got {len(record)}")
+            values = []
+            for (name, parse), value in zip(_COLUMNS, record):
+                try:
+                    values.append(parse(value))
+                except ValueError:
+                    raise ValueError(f"{where}: {name} is not {parse.__name__}: {value!r}") from None
+            rows.append(SweepRow(*values))
     return rows

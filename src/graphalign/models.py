@@ -38,15 +38,11 @@ __all__ = [
     "GcnConfig",
     "GcnModel",
     "SplitSpec",
-    "TrainReport",
-    "TrainingDiverged",
     "build_split",
     "forward",
     "loss",
     "gradients",
     "train",
-    "MeanFieldPropagation",
-    "propagation_operator",
 ]
 
 # A sweep seeds each variant's training by its index here: append, never reorder.
@@ -157,9 +153,6 @@ class MeanFieldPropagation:
         return self._reshaped(self.shape[::-1])
 
     def __matmul__(self, m: np.ndarray) -> np.ndarray:
-        if sp.issparse(m):
-            m = m.toarray()
-        m = np.asarray(m)
         if m.shape[0] != self.shape[1]:
             raise ValueError(f"operand has {m.shape[0]} rows, the operator {self.shape[1]} columns")
         col_means = m.sum(axis=0) / self.n
@@ -400,7 +393,7 @@ def gradients(
 
 class _Adam:
     """Adaptive-moment estimation with the standard defaults; updates the
-    parameters and moments in place, through two scratch arrays each."""
+    parameters and moments in place."""
 
     def __init__(self, shapes, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -408,26 +401,18 @@ class _Adam:
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
-        self.scratch = [(np.empty(s), np.empty(s)) for s in shapes]
 
     def step(self, params, grads):
-        """p -= lr·m̂/(√v̂ + eps), each product in the order of the textbook
-        expression, so the update is that expression's bits."""
+        """The textbook update p -= lr·m̂/(√v̂ + eps), evaluated as written."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v, (a, b) in zip(params, grads, self.m, self.v, self.scratch):
+        for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            np.multiply(g, g, out=a)
-            v += np.multiply(a, 1.0 - self.beta2, out=a)
-            np.divide(v, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += self.eps
-            np.divide(m, bc1, out=b)
-            b *= self.lr
-            p -= np.divide(b, a, out=b)
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def build_split(labels: np.ndarray, seed: int = 0) -> SplitSpec:

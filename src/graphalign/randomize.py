@@ -14,12 +14,7 @@ import scipy.sparse as sp
 
 from .datasets import _edge_array, _edges_to_adjacency, _integer
 
-__all__ = [
-    "randomize_graph",
-    "randomize_features",
-    "feature_permutation",
-    "derive_seed",
-]
+__all__ = ["randomize_graph", "randomize_features"]
 
 
 def derive_seed(base_seed: int, *parts: int) -> int:

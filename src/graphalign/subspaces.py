@@ -24,15 +24,7 @@ from .randomize import derive_seed, feature_permutation, randomize_graph
 __all__ = [
     "METRICS",
     "OrthonormalBasis",
-    "PrincipalAngles",
-    "DistanceMatrix3",
     "AlignmentResult",
-    "normalized_adjacency",
-    "graph_spectrum",
-    "graph_basis",
-    "left_singular_factor",
-    "feature_basis",
-    "groundtruth_basis",
     "principal_angles",
     "subspace_distance",
     "distance_matrix",
@@ -58,14 +50,6 @@ class OrthonormalBasis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    def validate(self, tol: float = 1e-10) -> None:
-        n, k = self.matrix.shape
-        if k >= n:
-            raise ValueError("basis dimension must be strictly below the ambient dimension")
-        gram = self.matrix.T @ self.matrix
-        if np.abs(gram - np.eye(k)).max() > tol:
-            raise ValueError("columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -145,10 +129,10 @@ def _fix_signs(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def graph_spectrum(a_hat: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of the normalized adjacency: all N eigenpairs.
 
-    A sparse operator (as :func:`normalized_adjacency` returns) is made
+    The CSR operator that :func:`normalized_adjacency` returns is made
     dense right before ``numpy.linalg.eigh``, LAPACK's divide-and-conquer
     routine (``?syevd``), the fastest one for all eigenpairs at the sizes
     used here; it runs on numpy's BLAS, as do the products and Gram
@@ -162,14 +146,12 @@ def graph_spectrum(a_hat: sp.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndar
     (projection and grassmann; a null whose next-round grid was scored in
     the round before is not solved again).
     """
-    if sp.issparse(a_hat):
-        a_hat = a_hat.toarray()
-    w, v = np.linalg.eigh(a_hat)
+    w, v = np.linalg.eigh(a_hat.toarray())
     order = np.argsort(-w, kind="stable")
     return w[order], _fix_signs(np.take(v, order, axis=1))  # C order, like the SVD factors
 
 
-def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
+def graph_basis(a_hat: sp.spmatrix, k: int) -> OrthonormalBasis:
     """Eigenvectors of the k algebraically largest eigenvalues of A_hat.
 
     Solves only the top k+1 eigenpairs (``subset_by_index``); the extra
@@ -191,9 +173,7 @@ def graph_basis(a_hat: sp.spmatrix | np.ndarray, k: int) -> OrthonormalBasis:
     n = a_hat.shape[0]
     _integer("k", k, low=1, high=n - 1)
     if k + 1 < n:
-        # An owned Fortran-order copy, which LAPACK overwrites in place.
-        dense = (a_hat.toarray(order="F") if sp.issparse(a_hat)
-                 else np.array(a_hat, dtype=np.float64, order="F"))
+        dense = a_hat.toarray(order="F")  # an owned copy, which LAPACK overwrites in place
         w, v = scipy.linalg.eigh(dense, subset_by_index=[n - k - 1, n - 1], overwrite_a=True)
         # Ascending order: w[0] is lambda_{k+1}, w[1] is lambda_k.
         if w[1] - w[0] > n * np.finfo(np.float64).eps * max(1.0, float(np.abs(w).max())):

@@ -451,6 +451,26 @@ def test_config_file_supplies_and_cli_overrides(dataset_files, tmp_path, capsys)
     assert json.loads(capsys.readouterr().out)["epochs_run"] == 5
 
 
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]])
+def test_every_config_spelling_reads_the_file_or_is_refused(spelling, dataset_files, tmp_path,
+                                                            capsys):
+    """`--config=FILE` is read like `--config FILE`; an abbreviation, which
+    argparse would accept and then ignore, is a usage error."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nulls = 0\n")  # not a valid --nulls, so reading the file fails the run
+    flags = [token.format(cfg) for token in spelling]
+    assert cli(["align", *file_args(dataset_files), *flags]) == 2
+    err = capsys.readouterr().err
+    assert ("--nulls" in err) == (spelling[0] != "--conf")
+
+
+def test_config_equals_spelling_supplies_flags(dataset_files, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 3\n")
+    assert cli(["train", *file_args(dataset_files), f"--config={cfg}"]) == 0
+    assert json.loads(capsys.readouterr().out)["epochs_run"] == 3
+
+
 @pytest.mark.parametrize("value, nodes", [("yes", 3), ("ON", 3), ("off", 4), ("0", 4)])
 def test_config_lcc_switch(value, nodes, tmp_path, capsys):
     """`lcc = <true word>` restricts to the largest component; a false

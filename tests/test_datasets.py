@@ -7,19 +7,19 @@ import scipy.sparse as sp
 from graphalign import (
     ConstructiveSpec,
     Dataset,
-    DatasetFormatError,
-    MeanFieldPropagation,
     generate_constructive,
     largest_connected_component,
     load_dataset,
-    normalized_adjacency,
-    one_hot,
-    propagation_operator,
-    row_normalize_features,
     save_dataset,
 )
-from graphalign.datasets import _edges_to_adjacency
-from graphalign.models import _model_features
+from graphalign.datasets import (
+    DatasetFormatError,
+    _edges_to_adjacency,
+    one_hot,
+    row_normalize_features,
+)
+from graphalign.models import MeanFieldPropagation, _model_features, propagation_operator
+from graphalign.subspaces import normalized_adjacency
 
 from conftest import make_dataset
 

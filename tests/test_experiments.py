@@ -16,14 +16,8 @@ from graphalign import (
     alignment_at,
     build_split,
     correlate,
-    derive_seed,
-    feature_basis,
-    feature_permutation,
     generate_constructive,
-    graph_basis,
-    normalized_adjacency,
     optimize_dimensions,
-    pearson,
     randomize_features,
     randomize_graph,
     read_rows,
@@ -31,7 +25,9 @@ from graphalign import (
     write_rows,
 )
 from graphalign import experiments, models, subspaces
-from graphalign.experiments import CSV_HEADER, _randomized_dataset
+from graphalign.experiments import CSV_HEADER, _randomized_dataset, pearson
+from graphalign.randomize import derive_seed, feature_permutation
+from graphalign.subspaces import feature_basis, graph_basis, normalized_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -436,3 +432,19 @@ def test_read_rows_rejects_wrong_shape(tmp_path):
     truncated.write_text(CSV_HEADER + "\nd,both,0,0,gcn,0.5\n")
     with pytest.raises(ValueError, match="14"):
         read_rows(truncated)
+
+
+def test_read_rows_errors_name_the_file_and_line(tmp_path):
+    """A trailing blank line is skipped, as the dataset readers skip blank
+    lines; two sweep files run together fail at the second header, with
+    the path, the line and the column."""
+    rows = [synth_row(percent=p) for p in (0, 50)]
+    one = tmp_path / "one.csv"
+    write_rows(one, rows)
+    blank = tmp_path / "blank.csv"
+    blank.write_text(one.read_text() + "\n")
+    assert read_rows(blank) == rows
+    twice = tmp_path / "twice.csv"
+    twice.write_text(one.read_text() * 2)
+    with pytest.raises(ValueError, match=re.escape(f"{twice}:4: percent is not int: 'percent'")):
+        read_rows(twice)

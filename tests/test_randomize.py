@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphalign import (
-    derive_seed,
-    feature_permutation,
     randomize_features,
     randomize_graph,
-    row_normalize_features,
 )
-from graphalign.randomize import rewire_stubs
+from graphalign.datasets import row_normalize_features
+from graphalign.randomize import derive_seed, feature_permutation, rewire_stubs
 from graphalign.subspaces import left_singular_factor
 
 from conftest import make_dataset
