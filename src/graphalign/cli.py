@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
+from contextlib import nullcontext
 from pathlib import Path
 
 from .datasets import (
@@ -76,7 +77,7 @@ def _read_config(path: str) -> list[tuple[str, str]]:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Expand `--config FILE` (or `--config=FILE`) into flags inserted after
-    the subcommand.
+    the subcommand, each one `--key=value` token so a value may begin with `-`.
 
     Insertion before the explicit flags means a flag given on the command
     line overrides the same key from the file.
@@ -100,7 +101,7 @@ def _apply_config(argv: list[str]) -> list[str]:
                 elif value.lower() not in _FALSE_WORDS:
                     raise CliUsageError(f"{path}: {key} must be true or false, got {value!r}")
             else:
-                injected.extend([flag, value])
+                injected.append(f"{flag}={value}")
         argv[1:1] = injected
     return argv
 
@@ -245,12 +246,9 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[str, Dataset]:
     return name, ds
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+def _emit(payload: dict, out) -> None:
+    """`payload` as JSON on the stream `out` (stdout when None)."""
+    print(json.dumps(payload, indent=2), file=out)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -329,7 +327,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base_seed=args.base_seed,
     )
     rows = run_sweep_multi(spec, dims, metrics=(args.metric,), workers=args.workers)[args.metric]
-    write_rows(args.out if args.out else sys.stdout, rows)
+    write_rows(args.out, rows)
     return 0
 
 
@@ -418,7 +416,12 @@ def cli(argv: list[str]) -> int:
         args = build_parser().parse_args(_apply_config(list(argv)))
         if args.config is not None:  # a spelling that _apply_config did not expand
             raise CliUsageError("spell the config file flag --config FILE or --config=FILE")
-        return args.func(args)
+        # --out is opened before the run, as a shell redirect is: a path that
+        # cannot be written fails before any work; a later failure leaves it empty.
+        path = getattr(args, "out", None)
+        out = open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
+        with out as args.out:
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     except CliUsageError as exc:

@@ -98,13 +98,13 @@ class GcnModel:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint train/validation/test masks covering all nodes."""
+    """Disjoint train/validation/test masks covering all nodes, checked when built."""
 
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         total = (
             self.train_mask.astype(int) + self.val_mask.astype(int) + self.test_mask.astype(int)
         )
@@ -169,11 +169,11 @@ def propagation_operator(dataset: Dataset, variant: str):
     return normalized_adjacency(dataset.adjacency)
 
 
-def _model_features(dataset: Dataset, variant: str) -> sp.csr_matrix:
-    """Row-normalized input features as a CSR (the identity without features)."""
+def _model_features(dataset: Dataset, variant: str):
+    """Row-normalized input features, dense (the CSR identity without features)."""
     if variant == "no_features":
         return sp.identity(dataset.n_nodes, format="csr")
-    return sp.csr_matrix(row_normalize_features(dataset.features))
+    return row_normalize_features(dataset.features)
 
 
 def _dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -218,9 +218,10 @@ class _Pass:
 class _Engine:
     """The two-layer model in the protocol of :func:`_engine`, every
     operator built once: one :class:`_Pass` per output row set in `rows`,
-    and for the CSR features `x` a held CSR that dropout writes into. Every
-    transpose is a view, and scipy sums each row of a CSC view's product
-    in the same order as a transposed copy's, so with the same bits.
+    and the features `x` as a CSR plus a held copy that dropout writes
+    into. Every transpose is a view, and scipy sums each row of a CSC
+    view's product in the same order as a transposed copy's, so with the
+    same bits.
 
     A pass on the rows S computes the first layer relu(P_H X W0) on their
     1-hop rows H only and scatters it into the hidden buffer, whose other
@@ -233,10 +234,11 @@ class _Engine:
     computes the first layer on every row.
     """
 
-    def __init__(self, a_hat, x: sp.csr_matrix, rows: dict[str, np.ndarray], hidden: int,
-                 dropout: float, l2_weight: float, n_mean: int):
+    def __init__(self, a_hat, x, rows: dict[str, np.ndarray], hidden: int, dropout: float,
+                 l2_weight: float, n_mean: int):
         if sp.issparse(a_hat):
             a_hat = a_hat.tocsr()
+        x = sp.csr_matrix(x)
         self.passes = {part: _Pass(a_hat, idx, hidden) for part, idx in rows.items()}
         self.widths = (x.shape[1], hidden)
         self.dropout, self.l2_weight, self.ce_scale = dropout, l2_weight, 1.0 / n_mean
@@ -321,10 +323,11 @@ def _engine(a_hat, x, rows: dict[str, np.ndarray], hidden: int | None, dropout: 
     `rng` is given), and ``backward(weights, cache, z, y)`` the gradients,
     one per weight matrix, of the cross-entropy of those rows divided by
     `n_mean`, plus l2_weight/2 ‖W0‖². `widths` holds each layer's input width.
+    Each engine converts the features `x` (dense or sparse) to its own form.
     """
     if hidden is None:
         return _SgcEngine(a_hat, x, rows, l2_weight, n_mean)
-    return _Engine(a_hat, sp.csr_matrix(x), rows, hidden, dropout, l2_weight, n_mean)
+    return _Engine(a_hat, x, rows, hidden, dropout, l2_weight, n_mean)
 
 
 def _evaluation_pass(model: GcnModel, a_hat, x, rows: np.ndarray, l2_weight: float = 0.0):
@@ -340,8 +343,8 @@ def forward(model: GcnModel, a_hat, x) -> np.ndarray:
     """Class probabilities in evaluation mode, one row per node, each
     summing to one, for any square operator `a_hat` (sparse, dense or
     implicit, symmetric or not): of the two-layer model, on `x` as a CSR,
-    or, when W1 is None, of the simplified model softmax(P^K X W0), K = 2.
-    `x` may be dense or sparse."""
+    or, when W1 is None, of the simplified model softmax(P^K X W0), K = 2,
+    on `x` dense. `x` may be dense or sparse: the engine converts it."""
     return _evaluation_pass(model, a_hat, x, np.arange(a_hat.shape[0]))[2]
 
 
@@ -356,18 +359,14 @@ def loss(
 
     `train_mask` selects the labeled rows of `z` and `y` (a boolean mask,
     or any numpy index). Probabilities are clamped at 1e-12 before the
-    log so the value stays finite. The penalty is l2_weight/2 times the
-    squared Frobenius norm of the first-layer weights.
+    log so the value stays finite. The L2 penalty enters a loss only here:
+    l2_weight/2 times the squared Frobenius norm of the first-layer weights.
     """
     zc = np.clip(z[train_mask], 1e-12, None)
     ce = -float(np.sum(y[train_mask] * np.log(zc)))
     if w0 is not None and l2_weight:
-        ce += _l2_penalty(w0, l2_weight)
+        ce += 0.5 * l2_weight * float(np.sum(w0 * w0))
     return ce
-
-
-def _l2_penalty(w0: np.ndarray, l2_weight: float) -> float:
-    return 0.5 * l2_weight * float(np.sum(w0 * w0))
 
 
 def gradients(
@@ -490,9 +489,8 @@ def _fit(variant: str, engine, dataset: Dataset, config: GcnConfig,
     pass on the training nodes in training mode, checks the mean training
     loss is finite, takes one Adam step along the gradient, and computes
     the validation loss on the validation nodes in evaluation mode (`rng`
-    None). The L2 penalty is computed once per weight update: the
-    validation loss after a step and the next epoch's training loss read
-    the same W0. Training stops once the validation loss has not improved
+    None); each loss is :func:`loss` at the current W0 over the part's
+    node count. Training stops once the validation loss has not improved
     for `patience` consecutive epochs; the final-epoch weights are
     evaluated on the test nodes.
     """
@@ -506,26 +504,21 @@ def _fit(variant: str, engine, dataset: Dataset, config: GcnConfig,
     weights = [_glorot(rng, fan_in, fan_out) for fan_in, fan_out in zip(widths, widths[1:])]
     optimizer = _Adam([w.shape for w in weights], lr=config.learning_rate)
 
-    def mean_loss(z, y_part, penalty):
-        ce = loss(z, y_part, every)
-        if config.l2_weight:
-            ce += penalty
-        return ce / len(y_part)
+    def mean_loss(z, y_part):
+        return loss(z, y_part, every, weights[0], config.l2_weight) / len(y_part)
 
     report = TrainReport(variant=variant, seed=config.seed, epochs_run=0)
     best_val = np.inf
     stale = 0
-    penalty = _l2_penalty(weights[0], config.l2_weight)
     for epoch in range(1, config.max_epochs + 1):
         z, cache = engine.forward(weights, "train", rng)
-        report.train_losses.append(_check_finite(mean_loss(z, y_train, penalty), epoch))
+        report.train_losses.append(_check_finite(mean_loss(z, y_train), epoch))
         optimizer.step(weights, engine.backward(weights, cache, z, y_train))
-        penalty = _l2_penalty(weights[0], config.l2_weight)
         report.epochs_run = epoch
 
         if n_val:
             z_val, _ = engine.forward(weights, "val", None)
-            val_loss = mean_loss(z_val, y_val, penalty)
+            val_loss = mean_loss(z_val, y_val)
             report.val_losses.append(_check_finite(val_loss, epoch))
             if val_loss < best_val:
                 best_val = val_loss
@@ -565,7 +558,6 @@ def train(
     _choice("variant", variant, VARIANTS)
     if split is None:
         split = build_split(dataset.labels)
-    split.validate()
     if len(split.train_mask) != dataset.n_nodes:
         raise ValueError("split masks must have one entry per node")
     rows = _split_rows(split)

@@ -183,6 +183,25 @@ def test_sweep_grid_list_form(dataset_files, tmp_path):
     assert [r.percent for r in read_rows(out)] == [0, 100]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the run started before its --out destination was opened")
+
+
+@pytest.mark.parametrize("command, target, flags", [
+    ("sweep", "graphalign.experiments.train", ["--kx", "5", "--ka", "4", "--grid", "0"]),
+    ("train", "graphalign.models._fit", []),
+    ("align", "graphalign.cli._optimize", []),
+])
+def test_out_in_a_missing_directory_fails_before_the_run(command, target, flags, dataset_files,
+                                                         tmp_path, monkeypatch, capsys):
+    """`--out` is opened before the search, sweep or training, as a shell
+    redirect is, so an unwritable path does not cost the run."""
+    monkeypatch.setattr(target, _refuse)
+    out = tmp_path / "missing" / "out"
+    assert cli([command, *file_args(dataset_files), *flags, "--out", str(out)]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_sweep_requires_both_dims(dataset_files, capsys):
     code = cli(["sweep", *file_args(dataset_files), "--kx", "5"])
     assert code == 2
@@ -469,6 +488,18 @@ def test_config_equals_spelling_supplies_flags(dataset_files, tmp_path, capsys):
     cfg.write_text("epochs = 3\n")
     assert cli(["train", *file_args(dataset_files), f"--config={cfg}"]) == 0
     assert json.loads(capsys.readouterr().out)["epochs_run"] == 3
+
+
+def test_config_value_may_begin_with_a_dash(dataset_files, tmp_path, capsys):
+    """A config value is injected as one `--key=value` token, so argparse
+    reads `-x` as the value, not as a flag."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("name = -x\nepochs = 2\n")
+    assert cli(["train", *file_args(dataset_files), "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["dataset"] == "-x"
+    cfg.write_text("dropout = -inf\n")
+    assert cli(["train", *file_args(dataset_files), "--config", str(cfg)]) == 2
+    assert "must be a finite number, got -inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, nodes", [("yes", 3), ("ON", 3), ("off", 4), ("0", 4)])

@@ -14,6 +14,8 @@ compute the same bits for every output below, on the benchmark instance
   ``GcnConfig(max_epochs=60)``;
 - each variant's training at dropout 0 and 0.5: its losses as hex, its
   epoch count, its test accuracy and its weights' bytes;
+- ``forward`` of each variant's dropout-0 model on the variant's operator
+  and input features (``propagation_operator``, ``_model_features``);
 - the ``build_split`` masks for seeds 0 to 4.
 
 Float results depend on the BLAS build and its thread count, so compare
@@ -42,7 +44,7 @@ def digest(*parts) -> str:
 
 def manifest() -> dict:
     ds = ga.generate_constructive(ga.ConstructiveSpec())
-    out = {"optimize_dimensions": {}, "sweep": {}, "train": {}, "build_split": {}}
+    out = {"optimize_dimensions": {}, "sweep": {}, "train": {}, "forward": {}, "build_split": {}}
     for metric in ga.METRICS:
         for seed in (0, 1):
             result = ga.optimize_dimensions(ds, metric=metric, n_null=3, seed=seed)
@@ -64,6 +66,10 @@ def manifest() -> dict:
             out["train"][f"{variant}/dropout{dropout}"] = digest(
                 [float(x).hex() for x in report.train_losses + report.val_losses],
                 report.epochs_run, report.test_accuracy, *(w.tobytes() for w in weights))
+            if dropout == 0.0:
+                z = ga.forward(report.model, ga.models.propagation_operator(ds, variant),
+                               ga.models._model_features(ds, variant))
+                out["forward"][variant] = digest(z.tobytes())
 
     for seed in range(5):
         split = ga.build_split(ds.labels, seed=seed)
