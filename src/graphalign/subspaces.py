@@ -12,6 +12,7 @@ original data and a fully randomized null ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -431,15 +432,18 @@ def _sq_distance_grids(
 
 def _null_ensemble(
     dataset: Dataset, seed: int, n_null: int
-) -> list[tuple[np.ndarray, sp.csr_matrix]]:
-    """Feature row permutation and sparse normalized adjacency of each
-    fully randomized copy, drawn once per search."""
-    nulls = []
-    for index in range(n_null):
+) -> list[Callable[[], tuple[np.ndarray, sp.csr_matrix]]]:
+    """One draw per fully randomized copy: calling it returns the copy's
+    feature row permutation and sparse normalized adjacency, from
+    ``derive_seed(seed, index, ·)``. The search calls a draw only when it
+    solves that null, so it holds one null operator at a time, and a
+    redraw gives the identical operator."""
+    def draw(index: int) -> tuple[np.ndarray, sp.csr_matrix]:
         perm = feature_permutation(dataset.n_nodes, 100.0, derive_seed(seed, index, 0))
         a_null = randomize_graph(dataset.adjacency, 100.0, derive_seed(seed, index, 1))
-        nulls.append((perm, normalized_adjacency(a_null)))
-    return nulls
+        return perm, normalized_adjacency(a_null)
+
+    return [partial(draw, index) for index in range(n_null)]
 
 
 def _sam_table(d2_xa: np.ndarray, d2_xy: np.ndarray, d2_ay: np.ndarray) -> np.ndarray:
@@ -464,32 +468,38 @@ def _refine(objective: np.ndarray, kx_grid: np.ndarray, ka_grid: np.ndarray,
     return (int(kx_grid[ix]), int(ka_grid[ia])), next_grids
 
 
-def _objective(sam_of: Callable, u: np.ndarray, v: np.ndarray, nulls, cells: tuple = (),
+def _objective(sam_of: Callable, u: np.ndarray, nulls, objective=0.0, cells: tuple = (),
                kept: list | None = None, grid_points: int | None = None) -> np.ndarray:
-    """The search objective, the mean null SAM minus the data's SAM, where
-    ``sam_of(u, v, *cells)`` gives the SAM of the feature and graph factors
-    at the cells searched: every cell for the chordal table, or one
-    (k_x, k_a) grid. The loop solves each null's full graph spectrum in turn
-    and drops it before the next one is solved.
+    """`objective` plus the mean null SAM, where ``sam_of(u, v, *cells)``
+    gives the SAM of the feature and graph factors at the cells searched:
+    every cell for the chordal table, or one (k_x, k_a) grid. A grid round
+    starts from the data's negated SAM at its grid, which its running
+    objective needs to predict the next round. The chordal table starts
+    from 0.0 and its caller subtracts the data's SAM after the loop, so the
+    data's spectrum is not held through it. The loop draws a null
+    (:func:`_null_ensemble`) only when it scores it, solves its full graph
+    spectrum before it gathers its feature factor, and drops its operator,
+    spectrum and factor before the next null is drawn.
 
     A grid round passes `kept`, one entry per null, which it updates: a null
     whose entry is ``(cells, sam)`` for this round's cells adds that SAM and
-    is not solved. When another round follows, it passes its `grid_points`,
+    is not drawn. When another round follows, it passes its `grid_points`,
     and every null solved here is also scored at the grids that
     :func:`_refine` gives for the running objective, in which the nulls not
     yet seen count at the mean of those seen; that score is the null's new
     entry. At the last null the running objective is the objective bit for
     bit, so the last null's entry always matches the next round.
     """
-    objective = -sam_of(u, v, *cells)
     n_null, seen_total = len(nulls), 0.0
     kept = [None] * n_null if kept is None else kept
-    for index, (perm, a_hat_null) in enumerate(nulls):
+    for index, draw in enumerate(nulls):
         entry, kept[index] = kept[index], None
         if entry is not None and all(map(np.array_equal, entry[0], cells)):
             null_sam = entry[1]
         else:
-            u_null, v_null = u[perm], graph_spectrum(a_hat_null)[1]
+            perm, a_hat_null = draw()
+            v_null = graph_spectrum(a_hat_null)[1]
+            u_null = u[perm]
             null_sam = sam_of(u_null, v_null, *cells)
             if grid_points is not None:
                 seen = index + 1
@@ -497,7 +507,7 @@ def _objective(sam_of: Callable, u: np.ndarray, v: np.ndarray, nulls, cells: tup
                            + (n_null - seen) / (n_null * seen) * (seen_total + null_sam))
                 ahead = _refine(running, *cells, grid_points)[1]
                 kept[index] = ahead, sam_of(u_null, v_null, *ahead)
-            del u_null, v_null  # one null spectrum at a time: free it before the next solve
+            del perm, a_hat_null, u_null, v_null  # one null in memory at a time
         objective += null_sam / n_null
         if grid_points is not None:
             seen_total = seen_total + null_sam
@@ -525,19 +535,22 @@ def optimize_dimensions(
     matching the classifier's preprocessing. Deterministic per seed.
 
     Computed once per search: the feature SVD and the full graph spectrum
-    (:func:`graph_spectrum`) of the data, and each null's row permutation
-    and sparse normalized adjacency; a null's feature factor U(P X) is
+    (:func:`graph_spectrum`) of the data; a null's feature factor U(P X) is
     exactly P U(X) (:func:`left_singular_factor`), so the search runs one SVD.
     Every null graph basis is a column prefix of that null's full
     :func:`graph_spectrum`, so every factorization of the search runs on
-    numpy's LAPACK and one BLAS thread pool.
+    numpy's LAPACK and one BLAS thread pool. A null's row permutation and
+    sparse normalized adjacency are drawn each time it is solved, and the
+    search holds one null's operator and spectrum at a time.
 
     The chordal distance is a sum over the principal angles, so cumulative
     sums of the cross products give the objective at every integer
     (k_x, k_a): it is filled once, with one full spectrum per null, and
     every round reads its grid from it (round-1 cells bitwise equal a
-    per-grid evaluation). Projection and grassmann are not sums: each cell
-    needs the eigenvalues of its own Gram block (derived at
+    per-grid evaluation). The mean null table is added up first and the
+    data's table subtracted last, so the data's spectrum is solved after
+    the nulls and not held through them. Projection and grassmann are not
+    sums: each cell needs the eigenvalues of its own Gram block (derived at
     :func:`_sq_distance_block_grid`), so each round evaluates its own grid.
     While a null's spectrum is in hand, it is also scored on the grid that
     the running objective predicts for the next round, and only that small
@@ -562,18 +575,20 @@ def optimize_dimensions(
             f"features), fewer than the label dimension {f}, where the k_x grid starts"
         )
     kx_hi, ka_hi = min(u_orig.shape[1], n - 1), n - 1
-    _, v_orig = graph_spectrum(normalized_adjacency(dataset.adjacency))
     nulls = _null_ensemble(dataset, seed, n_null)
 
     if metric == "chordal":
         def sam_of(u, v):
             return _sam_table(*_chordal_tables(u, v, y, kx_hi, ka_hi))
 
-        table = _objective(sam_of, u_orig, v_orig, nulls)
+        table = _objective(sam_of, u_orig, nulls)
+        _, v_orig = graph_spectrum(normalized_adjacency(dataset.adjacency))
+        table -= sam_of(u_orig, v_orig)
     else:
         def sam_of(u, v, kx_grid, ka_grid):
             return _sam_table(*_sq_distance_grids(u, v, y, kx_grid, ka_grid, metric))
 
+        _, v_orig = graph_spectrum(normalized_adjacency(dataset.adjacency))
         kept = [None] * n_null
 
     kx_grid = dimension_grid(f, kx_hi, grid_points)
@@ -582,8 +597,9 @@ def optimize_dimensions(
         if metric == "chordal":
             objective = table[kx_grid - 1][:, ka_grid - 1]
         else:
-            objective = _objective(sam_of, u_orig, v_orig, nulls, (kx_grid, ka_grid), kept,
-                                   grid_points if round_index + 1 < rounds else None)
+            cells = kx_grid, ka_grid
+            objective = _objective(sam_of, u_orig, nulls, -sam_of(u_orig, v_orig, *cells), cells,
+                                   kept, grid_points if round_index + 1 < rounds else None)
         (kx_best, ka_best), (kx_grid, ka_grid) = _refine(objective, kx_grid, ka_grid, grid_points)
 
     return _alignment(OrthonormalBasis(u_orig[:, :kx_best]), OrthonormalBasis(v_orig[:, :ka_best]),

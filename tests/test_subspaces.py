@@ -745,7 +745,8 @@ def _per_round_sam_grid_search(dataset, metric, n_null, rounds, seed, grid_point
     for _ in range(rounds):
         objective = -_sam_from_sq_distances(*_sq_distance_grids(u, v, y, kx_grid, ka_grid,
                                                                  metric))
-        for perm, a_hat_null in nulls:
+        for draw in nulls:
+            perm, a_hat_null = draw()
             v_null = graph_spectrum(a_hat_null)[1]
             d2 = _sq_distance_grids(u[perm], v_null, y, kx_grid, ka_grid, metric)
             objective += _sam_from_sq_distances(*d2) / n_null
@@ -813,12 +814,15 @@ def test_chordal_search_solves_each_null_once(small_constructive, rounds, monkey
 @pytest.mark.parametrize("metric", METRICS)
 def test_null_spectra_are_dropped_before_the_next_solve(small_constructive, metric,
                                                         monkeypatch):
-    """At most one null's N x N spectrum is held at a time: every spectrum
-    handed out before, except the data's, is gone when a solve starts."""
+    """At most one N x N spectrum is held at a time: every spectrum handed
+    out before is gone when a solve starts, except the data's in a grid
+    search, which scores the data first. The chordal search solves the data
+    last, so there no earlier spectrum is alive, the data's included."""
     solve, held = subspaces.graph_spectrum, []
 
     def tracked(a_hat):
-        assert all(ref() is None for pair in held[1:] for ref in pair)
+        earlier = held if metric == "chordal" else held[1:]
+        assert all(ref() is None for pair in earlier for ref in pair)
         spectrum = solve(a_hat)
         held.append([weakref.ref(part) for part in spectrum])
         return spectrum
@@ -826,6 +830,30 @@ def test_null_spectra_are_dropped_before_the_next_solve(small_constructive, metr
     monkeypatch.setattr(subspaces, "graph_spectrum", tracked)
     optimize_dimensions(small_constructive, metric=metric, n_null=3, rounds=3, seed=1)
     assert len(held) >= 4
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_one_null_operator_is_alive_at_each_solve(small_constructive, metric, monkeypatch):
+    """Nulls are drawn when they are solved and dropped before the next
+    draw, so no more than one normalized adjacency built by the search is
+    alive when a spectrum solve starts."""
+    build, solve, built, alive_at_solves = (subspaces.normalized_adjacency,
+                                            subspaces.graph_spectrum, [], [])
+
+    def tracked_build(adjacency):
+        a_hat = build(adjacency)
+        built.append(weakref.ref(a_hat))
+        return a_hat
+
+    def tracked_solve(a_hat):
+        alive_at_solves.append(sum(ref() is not None for ref in built))
+        return solve(a_hat)
+
+    monkeypatch.setattr(subspaces, "normalized_adjacency", tracked_build)
+    monkeypatch.setattr(subspaces, "graph_spectrum", tracked_solve)
+    optimize_dimensions(small_constructive, metric=metric, n_null=3, rounds=3, seed=1)
+    assert len(alive_at_solves) >= 4
+    assert max(alive_at_solves) == 1
 
 
 @pytest.mark.parametrize("features, columns", [
@@ -864,24 +892,66 @@ def _per_grid_chordal_sam(u, v, y, kx_grid, ka_grid):
     return np.sqrt(2.0 * (d2_xa + d2_xy[:, None] + d2_ay[None, :]))
 
 
-def test_chordal_table_first_round_is_bitwise_the_grid_evaluation(small_constructive):
-    ds, n_null = small_constructive, 3
+def _chordal_objective_parts(ds, seed, n_null):
+    """The chordal search's inputs on `ds`: the label factor, the feature
+    and graph factors of the data, the nulls and the table bounds."""
     n, f = ds.n_nodes, ds.num_classes
-    kx_hi, ka_hi = min(ds.n_features, n - 1), n - 1
     y = groundtruth_basis(one_hot(ds.labels, f)).matrix
     u, _ = left_singular_factor(row_normalize_features(ds.features))
     _, v = graph_spectrum(normalized_adjacency(ds.adjacency))
-    nulls = _null_ensemble(ds, 3, n_null)
-    kx_grid, ka_grid = dimension_grid(f, kx_hi, 10), dimension_grid(f, ka_hi, 10)
+    return y, u, v, _null_ensemble(ds, seed, n_null), min(ds.n_features, n - 1), n - 1
 
-    want = -_per_grid_chordal_sam(u, v, y, kx_grid, ka_grid)
-    for perm, a_hat_null in nulls:
+
+def _chordal_search_table(u, v, y, nulls, kx_hi, ka_hi):
+    """The chordal objective table as the search adds it up: the mean null
+    table first, the data's table subtracted last."""
+    def sam_of(u, v):
+        return _sam_table(*_chordal_tables(u, v, y, kx_hi, ka_hi))
+
+    table = _objective(sam_of, u, nulls)
+    table -= sam_of(u, v)
+    return table
+
+
+def test_chordal_table_first_round_is_bitwise_the_grid_evaluation(small_constructive):
+    ds, n_null = small_constructive, 3
+    y, u, v, nulls, kx_hi, ka_hi = _chordal_objective_parts(ds, 3, n_null)
+    kx_grid, ka_grid = dimension_grid(ds.num_classes, kx_hi, 10), dimension_grid(
+        ds.num_classes, ka_hi, 10)
+
+    want = 0.0
+    for draw in nulls:
+        perm, a_hat_null = draw()
         _, v_null = graph_spectrum(a_hat_null)
         want += _per_grid_chordal_sam(u[perm], v_null, y, kx_grid, ka_grid) / n_null
-    table = _objective(lambda u, v: _sam_table(*_chordal_tables(u, v, y, kx_hi, ka_hi)), u, v,
-                       nulls)
+    want -= _per_grid_chordal_sam(u, v, y, kx_grid, ka_grid)
+    table = _chordal_search_table(u, v, y, nulls, kx_hi, ka_hi)
     assert table.shape == (kx_hi, ka_hi)
     assert np.array_equal(table[kx_grid - 1][:, ka_grid - 1], want)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chordal_table_is_the_data_first_sum_to_rounding(small_constructive, seed):
+    """The table adds the mean null SAM first and subtracts the data's SAM
+    last. Against the sum that starts from the data's negated SAM, a cell
+    moves by at most the reordering bound of a sum of n_null + 1 terms,
+    n_null * eps * (|SAM_data| + mean |SAM_null|)."""
+    n_null = 4
+    y, u, v, nulls, kx_hi, ka_hi = _chordal_objective_parts(small_constructive, seed, n_null)
+
+    def sam_of(u, v):
+        return _sam_table(*_chordal_tables(u, v, y, kx_hi, ka_hi))
+
+    data_first = -sam_of(u, v)
+    magnitude = sam_of(u, v)
+    for draw in nulls:
+        perm, a_hat_null = draw()
+        null_sam = sam_of(u[perm], graph_spectrum(a_hat_null)[1])
+        data_first += null_sam / n_null
+        magnitude += null_sam / n_null
+    table = _chordal_search_table(u, v, y, nulls, kx_hi, ka_hi)
+    bound = n_null * np.finfo(np.float64).eps * magnitude
+    assert np.all(np.abs(table - data_first) <= bound)
 
 
 def test_chordal_search_on_identical_components_matches_reference():

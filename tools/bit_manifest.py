@@ -8,6 +8,8 @@ compute the same bits for every output below, on the benchmark instance
 ``ConstructiveSpec()`` (seed 0):
 
 - ``optimize_dimensions(n_null=3).to_dict()`` for each metric at null
+  seeds 0 and 1, and ``optimize_dimensions(metric="chordal",
+  n_null=10).to_dict()``, the benchmark's ``align`` setting, at null
   seeds 0 and 1;
 - the sweep CSV per metric: every variant, axis ``both``, percents 0 and
   60, one realization, at ``alignment_at(ds, 275, 10)``, with
@@ -20,7 +22,7 @@ compute the same bits for every output below, on the benchmark instance
 
 Float results depend on the BLAS build and its thread count, so compare
 manifests made on one host with the same ``OPENBLAS_NUM_THREADS``.
-Takes about 10-15 s on 2 cores.
+Takes about 15-20 s on 2 cores.
 """
 
 import hashlib
@@ -50,6 +52,10 @@ def manifest() -> dict:
             result = ga.optimize_dimensions(ds, metric=metric, n_null=3, seed=seed)
             out["optimize_dimensions"][f"{metric}/seed{seed}"] = digest(
                 json.dumps(result.to_dict(), sort_keys=True))
+    for seed in (0, 1):
+        result = ga.optimize_dimensions(ds, metric="chordal", n_null=10, seed=seed)
+        out["optimize_dimensions"][f"chordal/n_null10/seed{seed}"] = digest(
+            json.dumps(result.to_dict(), sort_keys=True))
 
     spec = ga.SweepSpec(dataset=ds, name="constructive", axis="both", percents=(0, 60),
                         realizations=1, variants=ga.VARIANTS,
