@@ -1,14 +1,8 @@
-"""Command-line entry points.
-
-Subcommands: `generate` writes the planted-community benchmark to files,
-`align` optimizes subspace dimensions and reports the alignment measure,
-`randomize` emits a degraded copy of a dataset, `train` fits one model
-variant, `sweep` runs a randomization sweep to CSV, and `correlate`
-reads a sweep CSV and prints the accuracy/alignment correlation per
-dataset and variant. Every flag can also be supplied through a
-`key = value` config file via `--config`; explicit flags win.
-
-Exit codes: 0 on success, 2 on usage errors, 1 on runtime failures.
+"""Command-line entry points, one subcommand per pipeline step
+(:func:`build_parser`). Every flag can also be supplied through a
+`key = value` config file via `--config` (:func:`_read_config`); explicit
+flags win. Exit codes: 0 on success, 2 on usage errors, 1 on runtime
+failures.
 """
 
 from __future__ import annotations
@@ -57,13 +51,19 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
 def _read_config(path: str) -> list[tuple[str, str]]:
+    """The file's `key = value` pairs. A comment starts at a `#` that begins
+    the line or follows whitespace, so `out_edges = run#1.edges` keeps its `#`."""
+    import re
+
     pairs = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliUsageError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliUsageError(f"cannot read config file: {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -131,8 +131,10 @@ class ConstructiveSpec:
 
 
 def _edges_to_adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
-    """Symmetric 0/1 CSR matrix of the simple graph on an (m, 2) array of
-    node pairs: self-loops drop, and repeated or reversed pairs collapse."""
+    """Symmetric 0/1 CSR adjacency of the simple graph on an (m, 2) array
+    of node pairs. Self-loops drop, and repeated or reversed pairs collapse
+    into one undirected edge. The generator, both loaders and the rewiring
+    build every graph here."""
     u, v = edges[edges[:, 0] != edges[:, 1]].T
     a = sp.csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
     a.data[:] = 1.0
@@ -221,10 +223,9 @@ def load_dataset(edges_path: str | Path, features_path: str | Path,
     `format="cora"` reads the published content/cites layout (features are
     0/1, label is a class name, edges are `<cited> <citing>`).
     `format="generic"` reads `<id> <v1> ... <vC> <label>` feature rows and
-    whitespace-separated id pairs for edges.
-
-    Duplicate edges collapse, self-loops drop, and edges are undirected.
-    Every edge endpoint must appear in the features file.
+    whitespace-separated id pairs for edges, which
+    :func:`_edges_to_adjacency` makes a simple undirected graph. Every edge
+    endpoint must appear in the features file.
     """
     _choice("dataset format", format, ("generic", "cora"))
     edges_path, features_path = Path(edges_path), Path(features_path)

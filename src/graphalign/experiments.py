@@ -46,8 +46,9 @@ AXES = ("graph", "features", "both")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: dataset, degradation axis, grid and model variants. `base_seed`
-    seeds every training, so a `config.seed` off its default is refused."""
+    """One sweep: dataset, degradation axis, grid and model variants. A
+    `config.seed` off its default is refused: the seed rule of
+    :func:`run_sweep_multi` seeds every training from `base_seed`."""
 
     dataset: Dataset
     name: str
@@ -141,11 +142,9 @@ def _cell_rows(args) -> dict[str, list[SweepRow]]:
 
     The randomization, the three bases and one training per variant are
     shared across metrics; each metric's distances, SAM and dimensions
-    come from one `_alignment` of the bases. `basis_x` and `basis_y` are
-    the sweep's feature and label bases of the original data; `basis_x`
-    with the rows permuted as the cell permutes its features is bitwise
-    that cell's feature basis (see `left_singular_factor`). Seeds follow
-    `run_sweep_multi`. Module-level so worker processes can unpickle it.
+    come from one `_alignment` of the bases. Factors and seeds are as
+    :func:`run_sweep_multi` states. Module-level so worker processes can
+    unpickle it.
     """
     spec, dims, metrics, split, basis_x, basis_y, percent, realization = args
     ds, rows = _randomized_dataset(spec.dataset, spec.axis, percent, spec.base_seed, realization)
@@ -186,12 +185,20 @@ def run_sweep_multi(
     """Sweep once, reporting rows under several distance metrics.
 
     k_x and k_a come from `dims` (as :func:`optimize_dimensions` picks them on
-    the unrandomized dataset), k_y from the labels. Variant v of cell (p, r)
-    trains with seed derive_seed(base_seed, p, r, 2 + VARIANTS.index(v)),
-    whatever else `spec.variants` lists; `SweepSpec` refuses a `config.seed`.
-    Cells are independent, so with ``workers > 1`` they run in a process
-    pool; rows are merged in (percent, realization, variant) order either
-    way. A training that diverges is recorded with NaN accuracy.
+    the unrandomized dataset), k_y from the labels. Cells are independent,
+    so with ``workers > 1`` they run in a process pool; rows are merged in
+    (percent, realization, variant) order either way. A training that
+    diverges is recorded with NaN accuracy.
+
+    Seed rule: cell (p, r) rewires with derive_seed(base_seed, p, r, 0),
+    permutes feature rows with derive_seed(base_seed, p, r, 1), and trains
+    variant v with derive_seed(base_seed, p, r, 2 + VARIANTS.index(v)) on
+    build_split(labels, seed=base_seed). So a row does not depend on the
+    other variants or on `workers`, and CLI ``randomize`` rebuilds its data.
+
+    Shared factors: the feature and label bases are factored once; a cell
+    permutes the feature basis's rows as it permutes its features, which is
+    bit for bit its own (:func:`graphalign.subspaces.left_singular_factor`).
     """
     for metric in metrics:
         _choice("metrics", metric, METRICS)

@@ -8,18 +8,8 @@ variant: the identity for the no-graph case (a plain MLP), the implicit
 rank-1 averaging operator for the complete graph (never materialized),
 and the identity feature matrix for the no-features case. A simplified
 variant propagates the features K times up front and is a single linear
-softmax layer. Every variant is fit by one loop: full-batch
-adaptive-moment gradient descent, L2 on the first-layer weights, and
-early stopping on the validation loss; the two-layer model also applies
-dropout to both layer inputs.
-
-Every variant runs on one engine protocol (:func:`_engine`), which
-:func:`train`, :func:`forward` and :func:`gradients` all build, so the
-latter two evaluate every model :func:`train` returns. Each pass computes
-only the output rows S it reads (the training, validation or test
-nodes), and the first layer only on their 1-hop rows, bit for bit as on
-every row (:class:`_Engine`). The simplified variant slices its
-propagated features P^K X once per split part (:class:`_SgcEngine`).
+softmax layer. Every variant runs on one engine protocol (:func:`_engine`)
+and is fit by one loop (:func:`_fit`).
 """
 
 from __future__ import annotations
@@ -177,8 +167,7 @@ def _model_features(dataset: Dataset, variant: str):
 
 
 def _dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted dropout of a dense array; a CSR's stored entries are its
-    `data` vector (see `_Engine._inputs`)."""
+    """Inverted dropout of a dense array, such as a CSR's `data` vector."""
     keep = 1.0 - rate
     mask = rng.random(x.shape) < keep
     return np.where(mask, x / keep, 0.0)
@@ -198,12 +187,9 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _Pass:
-    """One output row set's operators, all built in ``__init__``: P on the
-    output rows S (`a_rows`), the 1-hop rows H the first layer is read on
-    (`hop`: the columns P_S stores, every row for a dense or implicit P),
-    P on H (`a_hop`), the transposes P_Sᵀ and P_Hᵀ as views (`a_rows_t`,
-    `a_hop_t`) and a zero-filled full-size hidden buffer that each pass
-    fills on H."""
+    """One output row set's operators (:class:`_Engine`): P_S (`a_rows`),
+    the rows H (`hop`), P_H (`a_hop`), their transposes as views and the
+    full-size hidden buffer `h`."""
 
     def __init__(self, a_hat, rows: np.ndarray, hidden: int):
         self.a_rows = a_hat[rows]
@@ -216,22 +202,31 @@ class _Pass:
 
 
 class _Engine:
-    """The two-layer model in the protocol of :func:`_engine`, every
-    operator built once: one :class:`_Pass` per output row set in `rows`,
-    and the features `x` as a CSR plus a held copy that dropout writes
-    into. Every transpose is a view, and scipy sums each row of a CSC
-    view's product in the same order as a transposed copy's, so with the
-    same bits.
+    """The two-layer model in the protocol of :func:`_engine`, computed on
+    the rows it reads with the bits of a pass over every row.
 
-    A pass on the rows S computes the first layer relu(P_H X W0) on their
-    1-hop rows H only and scatters it into the hidden buffer, whose other
-    rows stay zero and are never read. A CSR product computes each row
-    alone, so P_H's rows are P's bits. The dense products ``h @ W1`` and
-    the backward ``(P_Sᵀ g) @ W1ᵀ`` stay full-size, since OpenBLAS
-    computes a row of a product differently for another number of rows.
-    Every dropout mask is drawn at full size, so the random stream does
-    not depend on the rows. So a pass returns the same bits as one that
-    computes the first layer on every row.
+    Output rows. A pass on the part S (the training nodes each epoch, the
+    validation nodes for early stopping, the test nodes once) computes
+    only the output rows S, and the first layer relu(P_H X W0) only on
+    their 1-hop rows H, the columns P_S stores (every row for a dense or
+    implicit P). It scatters that into a full-size hidden buffer whose
+    other rows stay zero and are never read. A CSR product computes each
+    row alone, so P_H's rows are P's bits. The output gradient lives on S
+    and the first-layer gradient on H, so the backward needs only P_Sᵀ and
+    P_Hᵀ, and the terms it skips are exact zeros. It reads P's transpose
+    off the rows it holds, so it is exact for any square P, symmetric or not.
+
+    Operators built once. One :class:`_Pass` per output row set in `rows`,
+    and the features `x` as a CSR plus a held copy whose `data` vector
+    dropout writes into. Every transpose is a view, and scipy sums each
+    row of a CSC view's product in the same order as a transposed copy's,
+    so with the same bits.
+
+    Full size where the row count changes bits. The dense products
+    ``h @ W1`` and the backward ``(P_Sᵀ g) @ W1ᵀ`` stay full-size, since
+    OpenBLAS computes a row of a product differently for another number
+    of rows, and every dropout mask is drawn at full size, so the random
+    stream does not depend on the rows.
     """
 
     def __init__(self, a_hat, x, rows: dict[str, np.ndarray], hidden: int, dropout: float,
@@ -274,11 +269,7 @@ class _Engine:
     def backward(self, weights: list[np.ndarray], cache: tuple, z: np.ndarray,
                  y: np.ndarray) -> list[np.ndarray]:
         """No other pass may run between the forward that returned `cache`
-        and this: they share the engine's buffers. The output gradient
-        lives on the rows S alone and the first-layer gradient on their
-        1-hop rows H, so the backward needs only P_Sᵀ and P_Hᵀ: the terms
-        it skips are exact zeros.
-        """
+        and this: they share the engine's buffers."""
         w0, w1 = weights
         p, x_in_t, s1, scale = cache
         g2 = (z - y) * self.ce_scale
@@ -324,6 +315,8 @@ def _engine(a_hat, x, rows: dict[str, np.ndarray], hidden: int | None, dropout: 
     one per weight matrix, of the cross-entropy of those rows divided by
     `n_mean`, plus l2_weight/2 ‖W0‖². `widths` holds each layer's input width.
     Each engine converts the features `x` (dense or sparse) to its own form.
+    :func:`train`, :func:`forward` and :func:`gradients` all build an
+    engine, so the last two evaluate every model :func:`train` returns.
     """
     if hidden is None:
         return _SgcEngine(a_hat, x, rows, l2_weight, n_mean)
@@ -342,9 +335,9 @@ def _evaluation_pass(model: GcnModel, a_hat, x, rows: np.ndarray, l2_weight: flo
 def forward(model: GcnModel, a_hat, x) -> np.ndarray:
     """Class probabilities in evaluation mode, one row per node, each
     summing to one, for any square operator `a_hat` (sparse, dense or
-    implicit, symmetric or not): of the two-layer model, on `x` as a CSR,
-    or, when W1 is None, of the simplified model softmax(P^K X W0), K = 2,
-    on `x` dense. `x` may be dense or sparse: the engine converts it."""
+    implicit, symmetric or not), of the two-layer model or, when W1 is
+    None, of the simplified model softmax(P^K X W0), K = 2, on dense or
+    sparse `x` (:func:`_engine`)."""
     return _evaluation_pass(model, a_hat, x, np.arange(a_hat.shape[0]))[2]
 
 
@@ -380,10 +373,9 @@ def gradients(
     """Analytic gradients of :func:`loss` at the given weights, dropout
     off: (dW0, dW1), or (dW0,) for the simplified model (W1 None).
 
-    Runs the training engine's forward and backward pass, restricted to
-    the rows `train_mask` selects as :func:`loss` reads it (a boolean
-    mask, or any numpy index). Exact for any square operator `a_hat`: the
-    backward reads P_Hᵀ off P's 1-hop rows, so it needs no symmetry.
+    Runs the training engine's forward and backward pass on the rows
+    `train_mask` selects as :func:`loss` reads it (a boolean mask, or any
+    numpy index), exact for any square operator `a_hat` (:class:`_Engine`).
     """
     rows = np.arange(len(y))[train_mask]
     engine, weights, z, cache = _evaluation_pass(model, a_hat, x, rows, l2_weight)
@@ -480,9 +472,8 @@ def _fit(variant: str, engine, dataset: Dataset, config: GcnConfig,
     """The early-stopping training loop shared by every variant.
 
     `rows` holds the node indexes of each split part (``"train"``,
-    ``"val"``, ``"test"``), and `engine` the variant's passes over them in
-    the protocol of :func:`_engine`, its gradients those of the mean loss
-    over the training nodes.
+    ``"val"``, ``"test"``), and `engine` the variant's passes over them
+    (:func:`_engine`), its gradients those of the mean training loss.
 
     Weights are drawn Glorot-uniform layer by layer, for the engine's
     `widths` and one output per class. Each epoch then runs the forward
@@ -542,18 +533,13 @@ def train(
     config: GcnConfig = GcnConfig(),
     split: SplitSpec | None = None,
 ) -> TrainReport:
-    """Train one model and report its test accuracy.
-
-    The training objective is the mean cross-entropy over the training
-    nodes plus the L2 penalty on the first-layer weights, following the
-    published protocol; weights start Glorot-uniform, features are
-    row-normalized, and training stops early once the validation loss has
-    not improved for `patience` consecutive epochs (the final-epoch model
-    is evaluated, dropout off). The simplified variant ``"sgc"`` fits a
-    single linear softmax layer to P^K X, K = 2, without dropout (there is
-    no hidden layer to regularize). Raises :class:`TrainingDiverged` on a
-    non-finite loss, and ValueError for a `split` whose masks overlap,
-    leave a node out, train on no node or are not one entry per node.
+    """Train one model on row-normalized features in the published protocol
+    (:func:`_fit`) and report its test accuracy. The simplified variant
+    ``"sgc"`` fits a single linear softmax layer to P^K X, K = 2, without
+    dropout (there is no hidden layer to regularize). Raises
+    :class:`TrainingDiverged` on a non-finite loss, and ValueError for a
+    `split` whose masks overlap, leave a node out, train on no node or are
+    not one entry per node.
     """
     _choice("variant", variant, VARIANTS)
     if split is None:

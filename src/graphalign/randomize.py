@@ -18,11 +18,9 @@ __all__ = ["randomize_graph", "randomize_features"]
 
 
 def derive_seed(base_seed: int, *parts: int) -> int:
-    """Deterministic child seed for (base_seed, *parts).
-
-    This is the documented splitting rule for parallel sweeps: every
-    (realization, stage) pair hashes to an independent stream.
-    """
+    """Deterministic child seed for (base_seed, *parts): each tuple hashes
+    to an independent stream (the sweep's rule:
+    :func:`graphalign.experiments.run_sweep_multi`)."""
     for name, value in (("base_seed", base_seed), *(("parts", part) for part in parts)):
         _integer(name, value, low=0)
     ss = np.random.SeedSequence((base_seed, *parts))
@@ -46,9 +44,9 @@ def randomize_graph(adjacency: sp.spmatrix, p_graph: float, seed: int) -> sp.csr
     """Rewire a percentage of the graph's edge stubs, degree-preservingly.
 
     Selects floor(|E| * p/100) edges, re-pairs their stubs at random, then
-    merges with the untouched edges and removes self-loops and parallel
-    edges. The output is symmetric and simple; its edge count never
-    exceeds the input's. p=0 returns the graph unchanged.
+    builds the simple graph of them and the untouched edges
+    (:func:`graphalign.datasets._edges_to_adjacency`), so its edge count
+    never exceeds the input's. p=0 returns the graph unchanged.
     """
     _integer("seed", seed, low=0)
     if not (0 <= p_graph <= 100):
@@ -64,7 +62,6 @@ def randomize_graph(adjacency: sp.spmatrix, p_graph: float, seed: int) -> sp.csr
     chosen = rng.choice(m, size=n_rewire, replace=False)
     rewired = rewire_stubs(edges[chosen], rng)
     kept = np.delete(edges, chosen, axis=0)
-    # The builder drops the pairing's self-loops and parallel edges.
     return _edges_to_adjacency(adjacency.shape[0], np.concatenate([kept, rewired]))
 
 

@@ -5,8 +5,8 @@ eigenvectors of the normalized adjacency for the graph, top left singular
 vectors of the (uncentered) feature and label matrices for the other two.
 Principal angles between the bases give pairwise subspace distances, and
 the Frobenius norm of the 3x3 distance matrix is the alignment measure.
-The subspace dimensions are picked to maximize the gap between the
-original data and a fully randomized null ensemble.
+:func:`optimize_dimensions` picks the dimensions against a fully
+randomized null ensemble and names the functions that derive its parts.
 """
 
 from __future__ import annotations
@@ -133,19 +133,18 @@ def _fix_signs(matrix: np.ndarray) -> np.ndarray:
 def graph_spectrum(a_hat: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of the normalized adjacency: all N eigenpairs.
 
-    The CSR operator that :func:`normalized_adjacency` returns is made
-    dense right before ``numpy.linalg.eigh``, LAPACK's divide-and-conquer
-    routine (``?syevd``), the fastest one for all eigenpairs at the sizes
-    used here; it runs on numpy's BLAS, as do the products and Gram
-    eigenvalues of the dimension search, so the search uses one BLAS
-    thread pool. Eigenvalues come back sorted by decreasing algebraic
-    value; ties keep the eigensolver's original order (stable sort), and
-    each eigenvector's largest-magnitude entry is made positive, so the
-    output is deterministic even for degenerate spectra.
-    :func:`optimize_dimensions` calls it once for the original graph and,
-    for each null, once per search (chordal) or at most once per round
-    (projection and grassmann; a null whose next-round grid was scored in
-    the round before is not solved again).
+    Eigenvalues come back sorted by decreasing algebraic value; ties keep
+    the eigensolver's order (stable sort), and each eigenvector's
+    largest-magnitude entry is made positive, so the output is
+    deterministic even for degenerate spectra. The eigenvectors are in C
+    order, like the SVD factors.
+
+    The CSR operator is made dense right before ``numpy.linalg.eigh``
+    (LAPACK ``?syevd``, the fastest for all eigenpairs at these sizes).
+    numpy and scipy each bundle an OpenBLAS with its own thread pool; the
+    dimension search takes every graph basis as a prefix of a spectrum
+    solved here and runs its other LAPACK calls through numpy too, so it
+    uses numpy's BLAS thread pool alone (:func:`graph_basis` calls scipy).
     """
     w, v = np.linalg.eigh(a_hat.toarray())
     order = np.argsort(-w, kind="stable")
@@ -169,7 +168,8 @@ def graph_basis(a_hat: sp.spmatrix, k: int) -> OrthonormalBasis:
     This is the fixed-k path (:func:`alignment_at`, sweep cells), and the
     one scipy LAPACK call of the module: numpy has no subset eigensolver,
     and a full spectrum here would hold an N x N factor in every sweep
-    cell. :func:`optimize_dimensions` does not call it.
+    cell. :func:`optimize_dimensions` does not call it, so the search keeps
+    to one BLAS pool (:func:`graph_spectrum`).
     """
     n = a_hat.shape[0]
     _integer("k", k, low=1, high=n - 1)
@@ -184,10 +184,20 @@ def graph_basis(a_hat: sp.spmatrix, k: int) -> OrthonormalBasis:
 
 
 def left_singular_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-fixed left singular vectors and singular values of X = E D: D the
-    distinct rows sorted as raw bytes (-0.0 is not 0.0), E the row map, C the
-    row counts. U = E C^-1/2 W from the SVD W S V^T of C^1/2 D has
-    min(distinct rows, columns) orthonormal columns, and U(P X) = P U(X) bit for bit."""
+    """Sign-fixed left singular vectors U and singular values S of X.
+
+    Write X = E D: D holds the distinct rows of X sorted as raw bytes
+    (-0.0 is not 0.0), E maps each row to its distinct row, and C counts
+    the rows of each. From the SVD W S V^T of C^1/2 D, U = E C^-1/2 W
+    gives X = U S V^T with orthonormal columns (E^T E = C), and there are
+    min(distinct rows, columns) of them.
+
+    A row permutation P of X leaves D and C, and so the SVD's input, as
+    they are, which makes U(P X) = P U(X) bit for bit. So the dimension
+    search runs one SVD and gathers every null's factor from the data's
+    (:func:`_objective`), and a sweep factors its features once
+    (:func:`graphalign.experiments.run_sweep_multi`).
+    """
     x = np.ascontiguousarray(matrix, dtype=np.float64)
     row_key = np.dtype((np.void, x.itemsize * x.shape[1]))
     order = np.argsort(x.view(row_key).ravel())
@@ -317,9 +327,8 @@ def dimension_grid(lo: int, hi: int, points: int) -> np.ndarray:
 
 def _sq_distances_from_grams(grams: np.ndarray, metric: str, sines: bool = False) -> np.ndarray:
     """Squared grassmann or projection distances from Gram matrices of
-    cross blocks (one, or a stack of equal size), whose eigenvalues are the
-    squared cosines of the principal angles or, with `sines`, the squared
-    sines of the angles that are not exactly zero."""
+    cross blocks (one, or a stack of equal size), of squared cosines or,
+    with `sines`, of squared sines (:func:`_sq_distance_block_grid`)."""
     eigenvalues = np.clip(np.linalg.eigvalsh(grams), 0.0, 1.0)  # ascending
     if metric == "projection":
         return eigenvalues[..., -1] if sines else 1.0 - eigenvalues[..., 0]
@@ -334,8 +343,7 @@ def _sq_distance_block_grid(
     r in `rows`, c in `cols` (both ascending), from Gram eigenvalues of the
     cross product a^T b of the two orthonormal factors.
 
-    This is where the grids' Gram/complement derivation is stated. The
-    cosines of the principal angles are the singular values of the cross
+    The cosines of the principal angles are the singular values of the cross
     block cross[:r, :c] (Bjorck & Golub, 1973), so their squares are the
     eigenvalues of the block's Gram matrix, and a cell costs one symmetric
     eigenvalue solve instead of an SVD. Projection reads only the smallest
@@ -387,10 +395,18 @@ def _sq_distance_block_grid(
 
 def _chordal_tables(u: np.ndarray, v: np.ndarray, y: np.ndarray, kx_max: int, ka_max: int):
     """Squared chordal distances d2_xa[k_x - 1, k_a - 1], d2_xy[k_x - 1]
-    and d2_ay[k_a - 1] at every integer k_x <= kx_max, k_a <= ka_max, as
-    min(dims) - ||cross||_F^2 from cumulative sums (no per-cell SVD), in
-    place in the buffer of the cross product. d2_xy and d2_ay hold from
-    k = f, the label dimension, where the search's grid starts."""
+    and d2_ay[k_a - 1] at every integer k_x <= kx_max, k_a <= ka_max.
+
+    The squared chordal distance is a sum over the principal angles,
+    sum sin^2 = min(k_1, k_2) - sum cos^2, and the squared cosines sum to
+    ||B1^T B2||_F^2. For column prefixes of two orthonormal factors that
+    norm is a 2-D cumulative sum of the squared cross product, so one
+    product fills the whole table with no per-cell SVD, in place in the
+    product's buffer; rounding below zero is clipped. d2_xy and d2_ay hold
+    from k = f, the label dimension, where the search's grids start. So the
+    chordal search fills its objective once and reads every round's grid
+    off it.
+    """
     f = y.shape[1]
     d2_xa = u[:, :kx_max].T @ v[:, :ka_max]
     np.square(d2_xa, out=d2_xa)
@@ -413,15 +429,10 @@ def _sq_distance_grids(
     metric: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared projection or grassmann distances for every (k_x, k_a)
-    grid cell.
-
-    `u`, `v`, `y` are full orthonormal factors (features, graph, labels);
-    a cell's basis is a column prefix, so its cross-product is a leading
-    submatrix of the full cross-product. Each cell comes from one
-    symmetric eigenvalue solve of size min(k_x, k_a, n - k_a), derived at
-    :func:`_sq_distance_block_grid`. The chordal search reads every cell
-    off :func:`_chordal_tables` instead. The grid only ranks cells,
-    and the reported distances come from :func:`_alignment`.
+    grid cell, from the full orthonormal factors `u`, `v`, `y` (features,
+    graph, labels), whose column prefixes are the cells' bases
+    (:func:`_sq_distance_block_grid`). The grid only ranks cells; the
+    reported distances come from :func:`_alignment`.
     """
     label_dim = np.array([y.shape[1]])
     d2_xa = _sq_distance_block_grid(u, v, kx_grid, ka_grid, metric)
@@ -435,9 +446,8 @@ def _null_ensemble(
 ) -> list[Callable[[], tuple[np.ndarray, sp.csr_matrix]]]:
     """One draw per fully randomized copy: calling it returns the copy's
     feature row permutation and sparse normalized adjacency, from
-    ``derive_seed(seed, index, ·)``. The search calls a draw only when it
-    solves that null, so it holds one null operator at a time, and a
-    redraw gives the identical operator."""
+    ``derive_seed(seed, index, ·)``, so a redraw gives the identical
+    operator (:func:`_objective` draws a null when it solves it)."""
     def draw(index: int) -> tuple[np.ndarray, sp.csr_matrix]:
         perm = feature_permutation(dataset.n_nodes, 100.0, derive_seed(seed, index, 0))
         a_null = randomize_graph(dataset.adjacency, 100.0, derive_seed(seed, index, 1))
@@ -470,25 +480,34 @@ def _refine(objective: np.ndarray, kx_grid: np.ndarray, ka_grid: np.ndarray,
 
 def _objective(sam_of: Callable, u: np.ndarray, nulls, objective=0.0, cells: tuple = (),
                kept: list | None = None, grid_points: int | None = None) -> np.ndarray:
-    """`objective` plus the mean null SAM, where ``sam_of(u, v, *cells)``
-    gives the SAM of the feature and graph factors at the cells searched:
-    every cell for the chordal table, or one (k_x, k_a) grid. A grid round
-    starts from the data's negated SAM at its grid, which its running
-    objective needs to predict the next round. The chordal table starts
-    from 0.0 and its caller subtracts the data's SAM after the loop, so the
-    data's spectrum is not held through it. The loop draws a null
-    (:func:`_null_ensemble`) only when it scores it, solves its full graph
-    spectrum before it gathers its feature factor, and drops its operator,
-    spectrum and factor before the next null is drawn.
+    """`objective` plus the mean SAM of the `nulls` (the draws of
+    :func:`_null_ensemble`), where ``sam_of(u, v, *cells)`` gives the SAM of
+    a feature and a graph factor at the cells searched: every cell for the
+    chordal table, or one (k_x, k_a) grid.
 
-    A grid round passes `kept`, one entry per null, which it updates: a null
-    whose entry is ``(cells, sam)`` for this round's cells adds that SAM and
-    is not drawn. When another round follows, it passes its `grid_points`,
-    and every null solved here is also scored at the grids that
-    :func:`_refine` gives for the running objective, in which the nulls not
-    yet seen count at the mean of those seen; that score is the null's new
-    entry. At the last null the running objective is the objective bit for
-    bit, so the last null's entry always matches the next round.
+    One null at a time: a null is drawn only when it is solved, its graph
+    spectrum is solved before its feature factor is gathered as ``u[perm]``
+    (:func:`left_singular_factor`), and all of it is dropped before the
+    next draw. The chordal table starts from 0.0 and its caller subtracts
+    the data's table after the loop, so the data's spectrum is not held
+    through it either; only the summation order differs from adding the
+    data first, so a cell may move by rounding.
+
+    Next-round prediction: a grid round starts from the data's negated SAM
+    at its grid, which the running objective below needs, and passes
+    `kept`, one entry per null, which it updates. A
+    null whose entry is ``(cells, sam)`` for this round's cells adds that
+    SAM and is not drawn. When another round follows, it passes its
+    `grid_points`, and each null solved here is also scored at the grids
+    that :func:`_refine` gives for the running objective, in which the
+    nulls not yet seen count at the mean of those seen; that small grid's
+    SAM is the null's new entry. The last null's entry always matches, as
+    its running objective is the objective bit for bit. A miss, or a third
+    round after a hit, solves the null again, and every value comes from
+    the same evaluation, so the prediction changes no bit.
+
+    Solve counts: chordal, 1 + n_null spectra; a grid search, the data's
+    once and each null at most once per round.
     """
     n_null, seen_total = len(nulls), 0.0
     kept = [None] * n_null if kept is None else kept
@@ -531,34 +550,17 @@ def optimize_dimensions(
     count, respectively the node count minus one; the objective at each cell
     is the mean SAM of `n_null` fully randomized copies minus the data's; the argmax wins.
     Each later round re-grids the interval between the neighbors of the
-    previous argmax. Features are row-normalized before the decomposition,
-    matching the classifier's preprocessing. Deterministic per seed.
+    previous argmax (:func:`_refine`). Features are row-normalized before the
+    decomposition, matching the classifier's preprocessing. Deterministic per
+    seed. Raises ValueError when the feature factor is narrower than f.
 
-    Computed once per search: the feature SVD and the full graph spectrum
-    (:func:`graph_spectrum`) of the data; a null's feature factor U(P X) is
-    exactly P U(X) (:func:`left_singular_factor`), so the search runs one SVD.
-    Every null graph basis is a column prefix of that null's full
-    :func:`graph_spectrum`, so every factorization of the search runs on
-    numpy's LAPACK and one BLAS thread pool. A null's row permutation and
-    sparse normalized adjacency are drawn each time it is solved, and the
-    search holds one null's operator and spectrum at a time.
-
-    The chordal distance is a sum over the principal angles, so cumulative
-    sums of the cross products give the objective at every integer
-    (k_x, k_a): it is filled once, with one full spectrum per null, and
-    every round reads its grid from it (round-1 cells bitwise equal a
-    per-grid evaluation). The mean null table is added up first and the
-    data's table subtracted last, so the data's spectrum is solved after
-    the nulls and not held through them. Projection and grassmann are not
-    sums: each cell needs the eigenvalues of its own Gram block (derived at
-    :func:`_sq_distance_block_grid`), so each round evaluates its own grid.
-    While a null's spectrum is in hand, it is also scored on the grid that
-    the running objective predicts for the next round, and only that small
-    grid is kept; a null whose prediction matches the next round's grid is
-    not solved again there (the last null always matches). A miss, or a
-    third round after a hit, solves the spectrum again, so no null is solved
-    more than once per round, and every grid value comes from the same
-    evaluation as without the prediction. The distances and SAM at k* come
+    Each part is derived at its owner: one feature SVD for the data and
+    every null (:func:`left_singular_factor`); one full spectrum per graph
+    and one BLAS pool (:func:`graph_spectrum`); the chordal objective at
+    every integer cell from one table (:func:`_chordal_tables`); the
+    projection and grassmann grids from Gram blocks
+    (:func:`_sq_distance_block_grid`); and the null loop, its memory and
+    its solve counts (:func:`_objective`). The distances and SAM at k* come
     from :func:`_alignment`.
     """
     _choice("metric", metric, METRICS)

@@ -541,6 +541,29 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_hash_inside_a_value_is_kept(tmp_path, capsys, monkeypatch):
+    """A `#` starts a comment only at the start of a line or after
+    whitespace, so `run#1.edges` names that file, not `run`."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# settings\nout_edges = run#1.edges\nout_features = run#1.features  # two\n"
+                   "nodes = 40\ncommunities = 2\nfeatures_per_community = 5\n")
+    assert cli(["generate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert not (tmp_path / "run").exists()
+    ds = load_dataset(tmp_path / "run#1.edges", tmp_path / "run#1.features")
+    assert (ds.n_nodes, ds.n_features) == (40, 10)
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("name = café\n".encode("latin-1"))
+    assert cli(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file: {cfg}: ")
+    assert "0xe9" in err
+
+
 def test_module_entry_point():
     # The child imports the package this suite imports, installed or not.
     src = str(Path(graphalign.__file__).resolve().parents[1])

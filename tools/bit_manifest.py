@@ -21,18 +21,26 @@ compute the same bits for every output below, on the benchmark instance
 - the ``build_split`` masks for seeds 0 to 4.
 
 Float results depend on the BLAS build and its thread count, so compare
-manifests made on one host with the same ``OPENBLAS_NUM_THREADS``.
-Takes about 15-20 s on 2 cores.
+manifests made on one host with the same ``OPENBLAS_NUM_THREADS``. The
+``"runtime"`` key records what the run saw: the numpy and scipy versions,
+``os.cpu_count()``, and the thread count of each wheel's bundled OpenBLAS
+(``"unknown"`` where its library or getter is not found). Takes 19-22 s
+on 2 cores.
 """
 
+import ctypes
 import hashlib
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy  # noqa: E402
+import scipy  # noqa: E402
 
 import graphalign as ga  # noqa: E402
 
@@ -42,6 +50,28 @@ def digest(*parts) -> str:
     for part in parts:
         h.update(part if isinstance(part, bytes) else repr(part).encode())
     return h.hexdigest()
+
+
+def blas_threads(package, getter: str):
+    """The thread count that `getter` reports in the OpenBLAS bundled in
+    `package`'s wheel (``<package>.libs``), or ``"unknown"``."""
+    libs = Path(package.__file__).resolve().parents[1] / f"{package.__name__}.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            return getattr(ctypes.CDLL(str(lib)), getter)()
+        except (OSError, AttributeError):
+            continue
+    return "unknown"
+
+
+def runtime() -> dict:
+    return {
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "numpy_blas_threads": blas_threads(numpy, "scipy_openblas_get_num_threads64_"),
+        "scipy_blas_threads": blas_threads(scipy, "scipy_openblas_get_num_threads"),
+    }
 
 
 def manifest() -> dict:
@@ -81,6 +111,7 @@ def manifest() -> dict:
         split = ga.build_split(ds.labels, seed=seed)
         out["build_split"][f"seed{seed}"] = digest(
             split.train_mask.tobytes(), split.val_mask.tobytes(), split.test_mask.tobytes())
+    out["runtime"] = runtime()
     return out
 
 
