@@ -11,6 +11,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from contextlib import nullcontext
@@ -19,6 +20,7 @@ from pathlib import Path
 from .datasets import (
     ConstructiveSpec,
     Dataset,
+    _text_lines,
     generate_constructive,
     largest_connected_component,
     load_dataset,
@@ -57,12 +59,10 @@ def _read_config(path: str) -> list[tuple[str, str]]:
 
     pairs = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = _text_lines(path, "config file", CliUsageError)
     except OSError as exc:
         raise CliUsageError(f"cannot read config file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliUsageError(f"cannot read config file: {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -246,6 +246,19 @@ def _resolve_dataset(args: argparse.Namespace) -> tuple[str, Dataset]:
     return name, ds
 
 
+def _refuse_shared_paths(args: argparse.Namespace) -> None:
+    """A usage error when `--out` names an input file, which it would
+    truncate before the run reads it, or when both `--out-*` flags name one
+    file, where the edges would overwrite the features. Two existing paths
+    are compared with `os.path.samefile`, others as resolved paths."""
+    for a, b in (("out", "edges"), ("out", "features"), ("out_edges", "out_features")):
+        pa, pb = getattr(args, a, None), getattr(args, b, None)
+        if pa and pb and (os.path.samefile(pa, pb) if os.path.exists(pa) and os.path.exists(pb)
+                          else os.path.realpath(pa) == os.path.realpath(pb)):
+            flags = " and ".join("--" + name.replace("_", "-") for name in (a, b))
+            raise CliUsageError(f"{flags} name the same file: {pa}")
+
+
 def _emit(payload: dict, out) -> None:
     """`payload` as JSON on the stream `out` (stdout when None)."""
     print(json.dumps(payload, indent=2), file=out)
@@ -416,6 +429,7 @@ def cli(argv: list[str]) -> int:
         args = build_parser().parse_args(_apply_config(list(argv)))
         if args.config is not None:  # a spelling that _apply_config did not expand
             raise CliUsageError("spell the config file flag --config FILE or --config=FILE")
+        _refuse_shared_paths(args)
         # --out is opened before the run, as a shell redirect is: a path that
         # cannot be written fails before any work; a later failure leaves it empty.
         path = getattr(args, "out", None)

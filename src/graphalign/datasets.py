@@ -147,70 +147,70 @@ def _edge_array(adjacency: sp.spmatrix) -> np.ndarray:
     return np.column_stack([coo.row, coo.col]).astype(np.int64)
 
 
+def _text_lines(path, what: str, error=DatasetFormatError) -> list[tuple[int, str]]:
+    """(number, line) of each line of the UTF-8 file `path`, a leading BOM
+    dropped: the one reader of every text input. A line ends at \\n, \\r or
+    \\r\\n only, not at a form feed or U+2028 as in `str.splitlines`, and keeps
+    its ending, for csv's quoted line breaks. Bytes that are not UTF-8 raise
+    `error`: `cannot read <what>: <path>: <reason>`."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            return list(enumerate(fh, start=1))
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {what}: {path}: {exc}") from None
+
+
 def _read_edge_list(path: Path, index: dict[str, int]) -> np.ndarray:
     """The file's (u, v) index pairs, as written, as an (m, 2) array."""
     edges: list[tuple[int, int]] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected two node ids, got {len(tokens)} tokens"
-                )
-            try:
-                edges.append((index[tokens[0]], index[tokens[1]]))
-            except KeyError as exc:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: unknown node id {exc.args[0]!r}"
-                ) from None
+    for lineno, line in _text_lines(path, "edge list"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: expected two node ids, got {len(tokens)} tokens"
+            )
+        try:
+            edges.append((index[tokens[0]], index[tokens[1]]))
+        except KeyError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}") from None
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
-def _read_feature_rows(
-    path: Path, decode_label: Callable[[str], object], kind: str
-) -> tuple[list[str], np.ndarray, list]:
-    """Parse `<id> <v1> ... <vC> <label>` rows.
-
-    The two formats differ only in the label column, which
-    `decode_label` turns into a label (a ValueError from it means the
-    column is not an integer). `kind` names the file in the empty-file
-    error.
-    """
+def _read_feature_rows(path: Path, decode_label: Callable[[str], object],
+                       kind: str) -> tuple[list[str], np.ndarray, list]:
+    """The `<id> <v1> ... <vC> <label>` rows of the `kind` file. The two
+    formats differ only in the label column, which `decode_label` decodes
+    (a ValueError from it means the column is not an integer)."""
     ids: list[str] = []
     rows: list[list[float]] = []
     labels: list = []
     width = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) < 3:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: need id, features and a label column"
-                )
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: ragged row ({len(tokens)} columns, expected {width})"
-                )
-            ids.append(tokens[0])
-            try:
-                values = [float(t) for t in tokens[1:-1]]
-            except ValueError:
-                raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature value") from None
-            if not all(map(math.isfinite, values)):
-                raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
-            rows.append(values)
-            try:
-                labels.append(decode_label(tokens[-1]))
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: label column must be an integer"
-                ) from None
+    for lineno, line in _text_lines(path, f"{kind} file"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) < 3:
+            raise DatasetFormatError(f"{path}:{lineno}: need id, features and a label column")
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: ragged row ({len(tokens)} columns, expected {width})"
+            )
+        ids.append(tokens[0])
+        try:
+            values = [float(t) for t in tokens[1:-1]]
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: non-numeric feature value") from None
+        if not all(map(math.isfinite, values)):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(values)
+        try:
+            labels.append(decode_label(tokens[-1]))
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: label column must be an integer") from None
     if not ids:
         raise DatasetFormatError(f"{path}: empty {kind} file")
     return ids, np.asarray(rows, dtype=np.float64), labels

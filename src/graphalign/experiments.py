@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .datasets import Dataset, _choice, _integer, one_hot, row_normalize_features
+from .datasets import Dataset, _choice, _integer, _text_lines, one_hot, row_normalize_features
 from .models import VARIANTS, GcnConfig, TrainingDiverged, build_split, train
 from .randomize import derive_seed, feature_permutation, randomize_graph
 from .subspaces import (
@@ -226,13 +226,15 @@ def run_sweep_multi(
 def pearson(xs, ys) -> float:
     """Pearson correlation coefficient of two equal-length sequences.
 
-    Raises ValueError for fewer than two points or a zero-variance input,
-    where the coefficient is undefined.
+    Raises ValueError for fewer than two points, a non-finite value or a
+    zero-variance input, where the coefficient is undefined.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size < 2:
         raise ValueError("need at least two points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("non-finite value in at least one input")
     xc = x - x.mean()
     yc = y - y.mean()
     vx = float(np.sum(xc * xc))
@@ -250,9 +252,10 @@ def correlate(rows: list[SweepRow], aggregation: str = "percent_mean") -> list[C
     alignment (one point per grid percent); ``point`` correlates the raw
     realizations. Rows are grouped first, and then each group's rows with
     NaN accuracy (diverged trainings) are dropped, so every group gets a
-    result. A group that degenerates (fewer than two points left, or zero
-    variance), or that pools experiments (rows that differ in axis or
-    dimensions), gets r = NaN and the reason, so the other groups keep theirs.
+    result. A group that degenerates (fewer than two points left, a
+    non-finite SAM or accuracy, or zero variance), or that pools
+    experiments (rows that differ in axis or dimensions), gets r = NaN and
+    the reason, so the other groups keep theirs.
     """
     _choice("aggregation", aggregation, ("percent_mean", "point"))
     groups: dict[tuple[str, str], list[SweepRow]] = {}
@@ -301,21 +304,21 @@ def read_rows(path) -> list[SweepRow]:
     """Read sweep rows back, skipping empty records. A wrong header, a
     record of the wrong length or a value its column cannot parse raises
     ValueError, prefixed `<path>:<line>:`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER.split(","):
-            raise ValueError(f"{path}:1: unexpected CSV header: {header}")
-        rows = []
-        for record in filter(None, reader):
-            where = f"{path}:{reader.line_num}"
-            if len(record) != len(_COLUMNS):
-                raise ValueError(f"{where}: expected {len(_COLUMNS)} fields, got {len(record)}")
-            values = []
-            for (name, parse), value in zip(_COLUMNS, record):
-                try:
-                    values.append(parse(value))
-                except ValueError:
-                    raise ValueError(f"{where}: {name} is not {parse.__name__}: {value!r}") from None
-            rows.append(SweepRow(*values))
+    reader = csv.reader(line for _, line in _text_lines(path, "sweep CSV", ValueError))
+    records = filter(None, reader)
+    header = next(records, None)
+    if header != CSV_HEADER.split(","):
+        raise ValueError(f"{path}:{max(reader.line_num, 1)}: unexpected CSV header: {header}")
+    rows = []
+    for record in records:
+        where = f"{path}:{reader.line_num}"
+        if len(record) != len(_COLUMNS):
+            raise ValueError(f"{where}: expected {len(_COLUMNS)} fields, got {len(record)}")
+        values = []
+        for (name, parse), value in zip(_COLUMNS, record):
+            try:
+                values.append(parse(value))
+            except ValueError:
+                raise ValueError(f"{where}: {name} is not {parse.__name__}: {value!r}") from None
+        rows.append(SweepRow(*values))
     return rows

@@ -202,6 +202,50 @@ def test_out_in_a_missing_directory_fails_before_the_run(command, target, flags,
     assert "No such file or directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--kx", "5", "--ka", "4", "--grid", "0"]), ("train", []), ("align", []),
+])
+@pytest.mark.parametrize("which", ["--edges", "--features"])
+def test_out_naming_an_input_is_a_usage_error(command, flags, which, dataset_files, tmp_path,
+                                              monkeypatch, capsys):
+    """`--out` is truncated before the dataset is read, so an `--out` that
+    names an input file, under any spelling, is refused and the input kept."""
+    edges, features = tmp_path / "e.txt", tmp_path / "f.txt"
+    for copy, original in ((edges, dataset_files[0]), (features, dataset_files[1])):
+        copy.write_bytes(Path(original).read_bytes())
+    before = {path: path.read_bytes() for path in (edges, features)}
+    monkeypatch.chdir(tmp_path)
+    out = "./" + {"--edges": "e.txt", "--features": "f.txt"}[which]
+    argv = [command, *file_args((str(edges), str(features))), *flags, "--out", out]
+    assert cli(argv) == 2
+    assert capsys.readouterr().err == f"error: --out and {which} name the same file: {out}\n"
+    assert {path: path.read_bytes() for path in before} == before
+
+
+@pytest.mark.parametrize("command", ["generate", "randomize"])
+def test_one_path_for_both_outputs_is_a_usage_error(command, dataset_files, tmp_path, capsys):
+    """Written one after the other, the edges would overwrite the features."""
+    source = file_args(dataset_files) + ["--percent", "0"] if command == "randomize" else []
+    both = tmp_path / "both.txt"
+    assert cli([command, *source, "--out-edges", str(both), "--out-features", str(both)]) == 2
+    assert "--out-edges and --out-features name the same file" in capsys.readouterr().err
+    assert not both.exists()
+
+
+def test_correlate_refuses_a_non_finite_sam(tmp_path, capsys):
+    from test_experiments import synth_row
+
+    path = tmp_path / "nan.csv"
+    write_rows(path, [synth_row(percent=p, accuracy=1.0 - p / 100,
+                                sam_value=float("nan") if p == 50 else 1.0 + p)
+                      for p in (0, 50, 100)])
+    code = cli(["correlate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "d m r=+nan n=3\n"
+    assert captured.err == "error: d m: r is undefined: non-finite value in at least one input\n"
+
+
 def test_sweep_requires_both_dims(dataset_files, capsys):
     code = cli(["sweep", *file_args(dataset_files), "--kx", "5"])
     assert code == 2

@@ -311,6 +311,26 @@ def test_pearson_errors():
         pearson(np.ones((2, 2)), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
+
+def test_correlate_gives_a_reason_for_a_non_finite_sam_or_accuracy():
+    """A NaN accuracy is a diverged training and drops; any other non-finite
+    value makes r undefined, with the reason."""
+    for change in ({"sam_value": math.nan}, {"accuracy": math.inf}):
+        rows = [synth_row(percent=p, accuracy=1.0 - p / 100, sam_value=1.0 + p)
+                for p in (0, 50)] + [synth_row(percent=100, **change)]
+        for aggregation in ("percent_mean", "point"):
+            result = correlate(rows, aggregation=aggregation)[0]
+            assert math.isnan(result.r) and result.n_points == 3
+            assert result.reason == "non-finite value in at least one input"
+
+
 def test_correlate_percent_mean_vs_point():
     rows = []
     for percent, acc, sam_value in ((0, 0.9, 1.0), (50, 0.6, 2.0), (100, 0.3, 3.0)):

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a stale export of deleted code fails;
-every export has a user; and one pair of helpers owns the library's argument
-refusals."""
+every export has a user; one pair of helpers owns the library's argument
+refusals; and one reader opens the files the package reads."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -58,3 +59,31 @@ def test_one_owner_of_argument_refusals():
         if "Integral" in text or re.search(r"""["']unknown """, text):
             offenders.append(path.name)
     assert not offenders, f"argument checks outside the two helpers in {offenders}"
+
+
+def _opens_to_read(call: ast.Call) -> bool:
+    """`read_text(...)`, `read_bytes(...)`, or `open(...)` / `<path>.open(...)`
+    whose mode is not a literal with `w`, `a` or `x`."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    positional = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                positional[0] if positional else None)
+    return not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax"))
+
+
+def test_one_reader_of_text_files():
+    """No module but `datasets._text_lines` opens a file to read it, so one
+    reader decides the encoding, the BOM, the line numbering and the fault
+    that names the file."""
+    offenders = []
+    for path in sorted(Path(graphalign.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "datasets.py":
+            tree.body = [node for node in tree.body if getattr(node, "name", "") != "_text_lines"]
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _opens_to_read(node)]
+    assert not offenders, f"files opened for reading outside datasets._text_lines: {offenders}"
